@@ -20,7 +20,7 @@ import time
 from .construct import CATALOG, catalog_rows
 from .core import Landmarks, format_vertex, parse_landmarks
 from .graphs import is_resolving_general, load_graph
-from .resolve import is_minimal, is_resolving, is_resolving_fast
+from .resolve import is_minimal, is_resolving
 from .search import min_resolving_size
 
 SCHEMA_VERSION = "1"
@@ -68,8 +68,7 @@ def _fmt_witness(witness, n: int):
 def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     S = parse_landmarks(args.set, args.n)
-    check = is_resolving_fast if args.fast else is_resolving
-    report = check(S, threads=args.threads)
+    report = is_resolving(S, threads=args.threads)
     inputs = {"n": args.n, "set": _fmt_members(S), "fast": bool(args.fast), "seed": args.seed}
     result = {
         "resolving": report.resolving,
@@ -83,7 +82,7 @@ def cmd_verify(args) -> int:
 def cmd_minimal(args) -> int:
     t0 = time.perf_counter()
     S = parse_landmarks(args.set, args.n)
-    report = is_resolving_fast(S, threads=args.threads)
+    report = is_resolving(S, threads=args.threads)
     inputs = {"n": args.n, "set": _fmt_members(S), "seed": args.seed}
     if not report.resolving:
         result = {
@@ -178,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="hypercube dimension")
     p.add_argument("--set", required=True,
                    help="comma-separated landmarks, binary ('01000') or set ('{2}') form")
-    p.add_argument("--fast", action="store_true", help="level-bucketed verifier (same result)")
+    p.add_argument("--fast", action="store_true", help="kept for compatibility; runs the same verifier")
     add_common(p)
     p.set_defaults(func=cmd_verify)
 

@@ -17,11 +17,10 @@ golden tests stay byte-stable.  The families:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 from typing import Callable
 
 from .core import Landmarks, all_ones, enumerate_level, singleton
-from .resolve import is_resolving_fast
+from .resolve import is_resolving
 
 
 def basis_minimal_set(n: int) -> Landmarks:
@@ -80,7 +79,7 @@ def product_lift(W: Landmarks) -> Landmarks:
     repeated with coordinate n+1 set (its copy in the second layer, at
     distance 1).  Output size is len(W) + 1.
     """
-    if not is_resolving_fast(W).resolving:
+    if not is_resolving(W).resolving:
         raise ValueError("product_lift needs a resolving input set")
     new_bit = 1 << W.n
     return Landmarks(W.n + 1, W.members + (W.members[0] | new_bit,))
@@ -229,9 +228,3 @@ def catalog_rows() -> list[dict[str, str]]:
         for e in CATALOG.values()
     ]
 
-
-def expected_size(name: str, n: int | None, k: int | None) -> int | None:
-    """Evaluated size formula where it is cheap to state, for reports."""
-    if name == "level" and n is not None and k is not None:
-        return comb(n, k)
-    return None

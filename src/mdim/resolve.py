@@ -1,10 +1,13 @@
 """Resolving-set verification for the hypercube.
 
 A landmark set S resolves Q^n when the 2^n distance vectors d(v,S) are
-pairwise distinct.  The verifier computes every vector with vectorized
-XOR + popcount, packs each vector into one or two 64-bit keys (or keeps
-the raw byte matrix when the set is too large to pack), sorts, and scans
-for equal neighbours.
+pairwise distinct.  The verifier gives every vertex one 64-bit key,
+sum_j d(v,s_j) * w_j mod 2^64 with fixed odd weights w_j, computed with
+vectorized XOR + popcount.  Equal vectors always give equal keys, so when
+the sorted keys have no equal neighbours the set resolves.  Otherwise the
+repeated keys are confirmed exactly, vertex by vertex in increasing order,
+against the true distance vectors; a repeat whose vectors differ is a
+hash collision and is skipped.
 
 Reports are deterministic: when the set fails, the witness is the
 numerically smallest colliding pair, regardless of thread count.
@@ -22,8 +25,10 @@ from .core import Landmarks, Vertex, check_dimension, hamming_distance
 
 DistanceVector = tuple[int, ...]
 
-# Below this many vertices, chunking overhead beats any parallel gain.
-_PARALLEL_MIN = 1 << 16
+# Vertices keyed per packing task; the thread pool is used only from two blocks on.
+_BLOCK = 1 << 16
+# Vertices looked up in the first block of the confirm scan; later blocks double.
+_SCAN_START = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -48,153 +53,83 @@ def distance_vector(v: Vertex, S: Landmarks) -> DistanceVector:
     return tuple(hamming_distance(v, s) for s in S.members)
 
 
-def _check_verifiable(S: Landmarks) -> None:
-    check_dimension(S.n)
-    if not S.members:
-        raise ValueError("empty landmark set cannot be verified")
+def _multipliers(k: int) -> np.ndarray:
+    """k fixed odd 64-bit weights: splitmix64 of 1..k, lowest bit forced on."""
+    z = np.arange(1, k + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return (z ^ (z >> np.uint64(31))) | np.uint64(1)
 
 
-def _run_chunks(fill, total: int, threads: int) -> None:
-    if threads <= 1 or total < _PARALLEL_MIN:
-        fill(0, total)
-        return
-    step = -(-total // (threads * 4))
-    bounds = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(lambda b: fill(*b), bounds))
-
-
-def _packed_columns(n: int, members: list[Vertex], threads: int) -> list[np.ndarray]:
-    """Distance entries of every vertex to ``members``, packed column-wise.
-
-    Returns arrays of length 2^n such that two vertices have equal distance
-    vectors iff all arrays agree at their positions.  Entries take
-    b = n.bit_length() bits each, so 64//b of them fit per 64-bit word;
-    larger sets fall back to one byte column per landmark.
-    """
+def _keys(n: int, members: np.ndarray, threads: int) -> np.ndarray:
+    """One key per vertex: sum_j popcount(v ^ s_j) * w_j, wrapping mod 2^64."""
     N = 1 << n
-    b = n.bit_length()
-    slots = 64 // b
-    k = len(members)
-    verts = np.arange(N, dtype=np.uint32)
-    if k <= 2 * slots:
-        words = [np.zeros(N, dtype=np.uint64) for _ in range(1 if k <= slots else 2)]
+    weights = _multipliers(len(members))
+    keys = np.zeros(N, dtype=np.uint64)
 
-        def fill(lo: int, hi: int) -> None:
-            chunk = verts[lo:hi]
-            for j, s in enumerate(members):
-                d = np.bitwise_count(chunk ^ np.uint32(s)).astype(np.uint64)
-                w, slot = divmod(j, slots)
-                words[w][lo:hi] |= d << np.uint64(slot * b)
+    def pack(lo: int) -> None:
+        hi = min(lo + _BLOCK, N)
+        verts = np.arange(lo, hi, dtype=np.uint32)
+        out = keys[lo:hi]
+        term = np.empty(hi - lo, dtype=np.uint64)
+        for s, w in zip(members, weights):
+            np.multiply(np.bitwise_count(verts ^ s), w, out=term)
+            out += term
 
-        _run_chunks(fill, N, threads)
-        return words
-
-    cols = np.empty((k, N), dtype=np.uint8)
-
-    def fill(lo: int, hi: int) -> None:
-        chunk = verts[lo:hi]
-        for j, s in enumerate(members):
-            cols[j, lo:hi] = np.bitwise_count(chunk ^ np.uint32(s))
-
-    _run_chunks(fill, N, threads)
-    return list(cols)
+    starts = range(0, N, _BLOCK)
+    if threads > 1 and len(starts) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(pack, starts))
+    else:
+        for lo in starts:
+            pack(lo)
+    return keys
 
 
-def _equal_neighbours(sorted_cols: list[np.ndarray]) -> np.ndarray:
-    eq = sorted_cols[0][1:] == sorted_cols[0][:-1]
-    for col in sorted_cols[1:]:
-        eq &= col[1:] == col[:-1]
-    return eq
+def _first_collision(keys: np.ndarray, repeated: np.ndarray, members: np.ndarray) -> tuple[int, int] | None:
+    """Smallest (u, v), u < v, with equal distance vectors.
 
-
-def _canonical_witness(sorted_verts: np.ndarray, eq: np.ndarray, x: Vertex) -> tuple[int, int] | None:
-    """Smallest colliding pair in original coordinates (members get XORed by x).
-
-    ``sorted_verts`` must be ordered so that equal distance vectors are
-    adjacent; ``eq[i]`` says positions i and i+1 carry equal vectors.
+    ``repeated`` holds, sorted, every key that occurs more than once.
+    Vertices are scanned in increasing order; one whose key is repeated is
+    compared exactly with its later key-mates, and its first true mate is
+    the witness.
     """
-    if not eq.any():
-        return None
-    size = len(sorted_verts)
-    in_run = np.zeros(size, dtype=bool)
-    in_run[1:] = eq
-    in_run[:-1] |= eq
-    originals = sorted_verts ^ np.uint32(x)
-    u_star = int(originals[in_run].min())
-    pos = int(np.flatnonzero(originals == u_star)[0])
-    # run boundaries: starts of the equal-vector groups
-    starts = np.flatnonzero(np.concatenate(([True], ~eq)))
-    gi = int(np.searchsorted(starts, pos, side="right")) - 1
-    lo = int(starts[gi])
-    hi = int(starts[gi + 1]) if gi + 1 < len(starts) else size
-    group = originals[lo:hi]
-    partner = int(np.partition(group, 1)[1])
-    return (u_star, partner)
+    N = len(keys)
+    lo, step = 0, _SCAN_START
+    while lo < N:
+        block = keys[lo:lo + step]
+        found = repeated[np.minimum(np.searchsorted(repeated, block), len(repeated) - 1)] == block
+        for u in (lo + np.flatnonzero(found)).tolist():
+            mates = u + 1 + np.flatnonzero(keys[u + 1:] == keys[u])
+            same = (np.bitwise_count(mates[:, None] ^ members) == np.bitwise_count(u ^ members)).all(axis=1)
+            if same.any():
+                return u, int(mates[np.argmax(same)])
+        lo += len(block)
+        step *= 2
+    return None
 
 
 def is_resolving(S: Landmarks, *, threads: int = 1) -> VerificationReport:
     """Check all 2^n distance vectors for pairwise distinctness."""
-    _check_verifiable(S)
+    check_dimension(S.n)
+    if not S.members:
+        raise ValueError("empty landmark set cannot be verified")
     t0 = time.perf_counter()
-    N = 1 << S.n
-    cols = _packed_columns(S.n, list(S.members), threads)
-    verts = np.arange(N, dtype=np.uint32)
-    order = np.lexsort((verts, *cols))
-    eq = _equal_neighbours([c[order] for c in cols])
-    witness = _canonical_witness(verts[order], eq, 0)
+    members = np.array(S.members, dtype=np.uint32)
+    keys = _keys(S.n, members, threads)
+    ranked = np.sort(keys)
+    repeated = ranked[1:][ranked[1:] == ranked[:-1]]
+    witness = _first_collision(keys, repeated, members) if repeated.size else None
     return VerificationReport(
         resolving=witness is None,
         witness=witness,
-        vertices_checked=N,
+        vertices_checked=len(keys),
         elapsed=time.perf_counter() - t0,
     )
 
 
-def is_resolving_fast(S: Landmarks, *, threads: int = 1) -> VerificationReport:
-    """Level-bucketed check; same report as is_resolving.
-
-    Translating S by its own first member puts phi in the set, whose
-    distance entry is just the vertex level.  Vertices in different levels
-    then can never collide, so vectors are compared only inside each level
-    class.  The resolving flag equals is_resolving(S).resolving exactly
-    (translation preserves the property), and any witness is mapped back
-    to original coordinates by the inverse translation.
-    """
-    _check_verifiable(S)
-    t0 = time.perf_counter()
-    n = S.n
-    N = 1 << n
-    x = S.members[0]
-    shifted = [s ^ x for s in S.members]  # shifted[0] == phi
-    cols = _packed_columns(n, shifted[1:], threads) if len(shifted) > 1 else []
-    verts = np.arange(N, dtype=np.uint32)
-    levels = np.bitwise_count(verts)
-    bucket_order = np.argsort(levels, kind="stable")
-    bounds = np.concatenate(([0], np.cumsum(np.bincount(levels, minlength=n + 1))))
-    best: tuple[int, int] | None = None
-    for lev in range(n + 1):
-        idx = bucket_order[bounds[lev]:bounds[lev + 1]]
-        if idx.size < 2:
-            continue
-        if cols:
-            sub = [c[idx] for c in cols]
-            order = np.lexsort((idx, *sub))
-            sorted_verts = idx[order].astype(np.uint32)
-            eq = _equal_neighbours([c[order] for c in sub])
-        else:
-            # phi is the only landmark: the whole level class collides
-            sorted_verts = idx.astype(np.uint32)
-            eq = np.ones(idx.size - 1, dtype=bool)
-        candidate = _canonical_witness(sorted_verts, eq, x)
-        if candidate is not None and (best is None or candidate < best):
-            best = candidate
-    return VerificationReport(
-        resolving=best is None,
-        witness=best,
-        vertices_checked=N,
-        elapsed=time.perf_counter() - t0,
-    )
+# Public name kept for existing callers; the same verifier.
+is_resolving_fast = is_resolving
 
 
 def is_minimal(S: Landmarks, *, threads: int = 1) -> tuple[bool, list[Vertex]]:
@@ -204,13 +139,13 @@ def is_minimal(S: Landmarks, *, threads: int = 1) -> tuple[bool, list[Vertex]]:
     resolving proper subset extends to some S minus one member, which a
     superset of a resolving set is again resolving.
     """
-    if not is_resolving_fast(S, threads=threads).resolving:
+    if not is_resolving(S, threads=threads).resolving:
         raise ValueError("minimality is only defined for resolving sets")
     removable: list[Vertex] = []
     if len(S.members) == 1:
         return True, removable  # the empty set never resolves (n >= 1)
     for i, s in enumerate(S.members):
         rest = Landmarks(S.n, S.members[:i] + S.members[i + 1:])
-        if is_resolving_fast(rest, threads=threads).resolving:
+        if is_resolving(rest, threads=threads).resolving:
             removable.append(s)
     return not removable, removable

@@ -26,7 +26,7 @@ import numpy as np
 
 from .construct import best_construction
 from .core import Landmarks, check_dimension
-from .resolve import is_resolving_fast
+from .resolve import is_resolving
 
 # Default cost guard; --force overrides it up to the table cap, beyond
 # which the 2^n x 2^n distance table alone is unreasonable.
@@ -169,7 +169,7 @@ def min_resolving_size(
                 local = int(hits[0])
                 examined += offset + local + 1
                 example = Landmarks(n, _candidate_members(combos[local], normalize=True))
-                assert is_resolving_fast(example).resolving
+                assert is_resolving(example).resolving
                 return SearchReport(
                     n=n,
                     min_size=k,

@@ -1,8 +1,8 @@
 """Independent brute-force oracles used to check the fast paths.
 
 Everything here is deliberately dumb pure Python: distance vectors as
-tuples in a dict, subsets via itertools.  No numpy, no packing, no
-level bucketing, so agreement with the library is meaningful.
+tuples in a dict, subsets via itertools.  No numpy, no keys, no sorting,
+so agreement with the library is meaningful.
 """
 
 from __future__ import annotations
@@ -67,12 +67,12 @@ def random_landmarks(rng: Random, n: int, size: int) -> Landmarks:
 
 def random_resolving_landmarks(rng: Random, n: int, max_tries: int = 200) -> Landmarks:
     """Rejection-sample a resolving set (sizes near n resolve frequently)."""
-    from mdim.resolve import is_resolving_fast
+    from mdim.resolve import is_resolving
 
     for _ in range(max_tries):
         size = rng.randint(max(2, n - 1), n + 1)
         S = random_landmarks(rng, n, size)
-        if is_resolving_fast(S).resolving:
+        if is_resolving(S).resolving:
             return S
     raise AssertionError(f"could not sample a resolving set for n={n}")
 

@@ -1,8 +1,10 @@
 import itertools
 from random import Random
 
+import numpy as np
 import pytest
 
+import mdim.resolve
 from helpers import naive_is_resolving, permute_vertex, random_landmarks
 from mdim.core import Landmarks, all_ones, singleton, translate_set
 from mdim.resolve import (
@@ -39,7 +41,7 @@ def test_distance_vector_rejects_empty():
         distance_vector(0, Landmarks(5, ()))
 
 
-@pytest.mark.parametrize("check", [is_resolving, is_resolving_fast])
+@pytest.mark.parametrize("check", [is_resolving, is_resolving_fast], ids=["is_resolving", "is_resolving_fast"])
 class TestVerifierExamples:
     def test_q3_minimum_set(self, check):
         assert check(Landmarks(3, (0, 1, 2))).resolving
@@ -81,8 +83,6 @@ def test_matches_bruteforce_exhaustively_tiny():
                 S = Landmarks(n, members)
                 got = is_resolving(S)
                 assert (got.resolving, got.witness) == expected, members
-                fast = is_resolving_fast(S)
-                assert (fast.resolving, fast.witness) == expected, members
 
 
 def test_matches_bruteforce_randomized():
@@ -96,31 +96,80 @@ def test_matches_bruteforce_randomized():
         assert (got.resolving, got.witness) == expected, S
 
 
-def test_fast_equals_plain_on_random_sets():
+def test_fast_is_an_alias():
+    assert is_resolving_fast is is_resolving
+
+
+def test_matches_bruteforce_on_random_sets_up_to_n9():
     rng = Random(1801)
     for _ in range(300):
         n = rng.randint(2, 9)
         S = random_landmarks(rng, n, rng.randint(1, n + 2))
-        a = is_resolving(S)
-        b = is_resolving_fast(S)
-        assert a.resolving == b.resolving
-        assert a.witness == b.witness
+        got = is_resolving(S)
+        assert (got.resolving, got.witness) == naive_is_resolving(n, S.members), S
 
 
 def test_wide_vector_path_against_bruteforce():
-    # more landmarks than fit in two packed words forces the byte-matrix path
+    # sets of 33 to 51 members, far wider than n: each key sums that many weighted terms
     rng = Random(33)
-    for n in (7, 8):
-        wide_floor = 2 * (64 // n.bit_length()) + 1
-        assert wide_floor < 1 << n
+    for n, low in ((7, 43), (8, 33)):
         for _ in range(5):
-            size = rng.randint(wide_floor, min(wide_floor + 8, 1 << n))
-            S = random_landmarks(rng, n, size)
+            S = random_landmarks(rng, n, rng.randint(low, low + 8))
             expected = naive_is_resolving(n, S.members)
             got = is_resolving(S)
             assert (got.resolving, got.witness) == expected
-            fast = is_resolving_fast(S)
-            assert (fast.resolving, fast.witness) == expected
+
+
+@pytest.fixture(params=[1, 0], ids=["all-one-weights", "all-zero-weights"])
+def colliding_weights(request, monkeypatch):
+    # Weights that make nearly every key repeat, so the exact confirm decides every verdict.
+    monkeypatch.setattr(mdim.resolve, "_multipliers", lambda k: np.full(k, request.param, dtype=np.uint64))
+
+
+def test_confirm_path_matches_bruteforce(colliding_weights):
+    rng = Random(2718)
+    for _ in range(60):
+        n = rng.randint(2, 8)
+        S = random_landmarks(rng, n, rng.randint(1, n + 2))
+        got = is_resolving(S)
+        assert (got.resolving, got.witness) == naive_is_resolving(n, S.members), S
+    for n in (7, 8):
+        for _ in range(3):
+            S = random_landmarks(rng, n, rng.randint(25, 40))
+            got = is_resolving(S)
+            assert (got.resolving, got.witness) == naive_is_resolving(n, S.members), S
+
+
+def test_confirm_path_is_minimal_matches_bruteforce(colliding_weights):
+    rng = Random(3141)
+    checked = 0
+    while checked < 30:
+        n = rng.randint(3, 8)
+        size = rng.randint(25, 30) if n >= 7 and checked % 5 == 0 else rng.randint(n - 1, n + 2)
+        S = random_landmarks(rng, n, size)
+        if not naive_is_resolving(n, S.members)[0]:
+            continue
+        expected = [
+            s for i, s in enumerate(S.members) if naive_is_resolving(n, S.members[:i] + S.members[i + 1:])[0]
+        ]
+        assert is_minimal(S) == (not expected, expected), S
+        checked += 1
+
+
+@pytest.mark.parametrize("weights", ["splitmix", "all-one", "all-zero"])
+def test_confirm_path_two_blocks_witness_independent_of_threads(weights, monkeypatch):
+    if weights != "splitmix":
+        fill = 1 if weights == "all-one" else 0
+        monkeypatch.setattr(mdim.resolve, "_multipliers", lambda k: np.full(k, fill, dtype=np.uint64))
+    # No member uses coordinates 1 and 2, so {1} and {2} collide.  Coordinate 17 is in
+    # half the members, so under all-one weights phi shares its key with {17}, in the
+    # second 2^16-vertex block, without sharing its vector; all-zero weights give every
+    # vertex phi's key.  Only an exact confirm skips phi.
+    top = 1 << 16
+    S = Landmarks(17, tuple(1 << i | top for i in range(2, 9)) + tuple(1 << i for i in range(9, 16)))
+    for threads in (1, 2):
+        report = is_resolving(S, threads=threads)
+        assert (report.resolving, report.witness) == (False, (1, 2)), threads
 
 
 def test_full_vertex_set_resolves():
