@@ -23,7 +23,7 @@ from .graphs import is_resolving_general, load_graph
 from .resolve import is_minimal, is_resolving
 from .search import min_resolving_size
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 
 def _default_threads() -> int:
@@ -69,7 +69,7 @@ def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     S = parse_landmarks(args.set, args.n)
     report = is_resolving(S, threads=args.threads)
-    inputs = {"n": args.n, "set": _fmt_members(S), "fast": bool(args.fast), "seed": args.seed}
+    inputs = {"n": args.n, "set": _fmt_members(S), "fast": bool(args.fast)}
     result = {
         "resolving": report.resolving,
         "witness": _fmt_witness(report.witness, args.n),
@@ -83,7 +83,7 @@ def cmd_minimal(args) -> int:
     t0 = time.perf_counter()
     S = parse_landmarks(args.set, args.n)
     report = is_resolving(S, threads=args.threads)
-    inputs = {"n": args.n, "set": _fmt_members(S), "seed": args.seed}
+    inputs = {"n": args.n, "set": _fmt_members(S)}
     if not report.resolving:
         result = {
             "resolving": False,
@@ -107,7 +107,7 @@ def cmd_minimal(args) -> int:
 def cmd_construct(args) -> int:
     t0 = time.perf_counter()
     if args.list:
-        inputs = {"name": None, "n": None, "k": None, "seed": args.seed}
+        inputs = {"name": None, "n": None, "k": None}
         _emit(args, "construct", inputs, {"catalog": catalog_rows()}, t0)
         return 0
     if not args.name:
@@ -116,7 +116,7 @@ def cmd_construct(args) -> int:
     if entry is None:
         raise ValueError(f"unknown construction {args.name!r}; valid: {', '.join(sorted(CATALOG))}")
     S = entry.build(args.n, args.k)
-    inputs = {"name": args.name, "n": args.n, "k": args.k, "seed": args.seed}
+    inputs = {"name": args.name, "n": args.n, "k": args.k}
     result = {
         "n": S.n,
         "size": len(S),
@@ -130,7 +130,7 @@ def cmd_construct(args) -> int:
 def cmd_dimension(args) -> int:
     t0 = time.perf_counter()
     report = min_resolving_size(args.n, max_k=args.max_k, force=args.force, threads=args.threads)
-    inputs = {"n": args.n, "max_k": args.max_k, "force": bool(args.force), "seed": args.seed}
+    inputs = {"n": args.n, "max_k": args.max_k, "force": bool(args.force)}
     result = {
         "min_size": report.min_size,
         "example": _fmt_members(report.example),
@@ -149,7 +149,7 @@ def cmd_graph_verify(args) -> int:
     except ValueError:
         raise ValueError(f"landmarks must be comma-separated vertex indices, got {args.landmarks!r}") from None
     report = is_resolving_general(g, landmarks)
-    inputs = {"graph": args.graph, "landmarks": landmarks, "seed": args.seed}
+    inputs = {"graph": args.graph, "landmarks": landmarks}
     result = {
         "resolving": report.resolving,
         "witness": list(report.witness) if report.witness else None,
@@ -170,8 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threads", type=int, default=_default_threads(),
                        help="worker threads (default: MDIM_THREADS or 1); never changes results")
         p.add_argument("--pretty", action="store_true", help="human-readable output instead of JSON")
-        p.add_argument("--seed", type=int, default=None,
-                       help="seed for randomized commands (reserved; current commands are deterministic)")
 
     p = sub.add_parser("verify", help="check whether a landmark set resolves Q^n")
     p.add_argument("--n", type=int, required=True, help="hypercube dimension")
@@ -217,10 +215,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import check_dimension
 from .resolve import VerificationReport
@@ -28,13 +28,6 @@ class Graph:
 
     vertex_count: int
     adjacency: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
-class DistanceMatrix:
-    """All-pairs hop counts; UNREACHABLE marks disconnected pairs."""
-
-    dist: tuple[tuple[int, ...], ...]
 
 
 def graph_from_edges(vertex_count: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -90,9 +83,12 @@ def is_connected(g: Graph) -> bool:
     return UNREACHABLE not in bfs_distances(g, 0)
 
 
-def distance_matrix(g: Graph) -> DistanceMatrix:
-    """All-pairs distances via one BFS per vertex (test-oracle use)."""
-    return DistanceMatrix(tuple(tuple(bfs_distances(g, v)) for v in range(g.vertex_count)))
+def distance_matrix(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """All-pairs hop counts via one BFS per vertex (test-oracle use).
+
+    Row u holds the distances from u; UNREACHABLE marks disconnected pairs.
+    """
+    return tuple(tuple(bfs_distances(g, v)) for v in range(g.vertex_count))
 
 
 def is_resolving_general(g: Graph, landmarks: Sequence[int]) -> VerificationReport:
@@ -138,40 +134,41 @@ def cartesian_product_k2(g: Graph) -> Graph:
 
 
 def parse_graph(text: str) -> Graph:
-    """Parse the edge-list format: '#' comments, then 'p <count>', then 'u v' lines."""
-    vertex_count: int | None = None
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if vertex_count is None:
-            if fields[0] != "p" or len(fields) != 2 or not fields[1].isdigit():
-                raise ValueError(f"line {lineno}: expected 'p <vertex_count>', got {raw!r}")
-            vertex_count = int(fields[1])
-            if vertex_count < 1:
-                raise ValueError(f"line {lineno}: vertex count must be >= 1")
-            continue
-        if len(fields) != 2:
-            raise ValueError(f"line {lineno}: expected 'u v', got {raw!r}")
-        try:
-            u, v = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise ValueError(f"line {lineno}: non-integer endpoint in {raw!r}") from None
-        if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-            raise ValueError(f"line {lineno}: edge ({u},{v}) out of range 0..{vertex_count - 1}")
-        if u == v:
-            raise ValueError(f"line {lineno}: self-loop at vertex {u}")
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise ValueError(f"line {lineno}: duplicate edge ({u},{v})")
-        seen.add(key)
-        edges.append((u, v))
-    if vertex_count is None:
+    """Parse the edge-list format: '#' comments, then 'p <count>', then 'u v' lines.
+
+    Edges go lazily to graph_from_edges, which checks range, self-loops and
+    duplicates; any error after the 'p' line names the line that raised it.
+    """
+    lines = (
+        (lineno, raw, raw.split("#", 1)[0].split())
+        for lineno, raw in enumerate(text.splitlines(), start=1)
+    )
+    lines = ((lineno, raw, fields) for lineno, raw, fields in lines if fields)
+    header = next(lines, None)
+    if header is None:
         raise ValueError("missing 'p <vertex_count>' line")
-    return graph_from_edges(vertex_count, edges)
+    lineno, raw, fields = header
+    if fields[0] != "p" or len(fields) != 2 or not fields[1].isdigit():
+        raise ValueError(f"line {lineno}: expected 'p <vertex_count>', got {raw!r}")
+    vertex_count = int(fields[1])
+    if vertex_count < 1:
+        raise ValueError(f"line {lineno}: vertex count must be >= 1")
+
+    def edges() -> Iterator[tuple[int, int]]:
+        nonlocal lineno
+        for lineno, raw, fields in lines:
+            if len(fields) != 2:
+                raise ValueError(f"expected 'u v', got {raw!r}")
+            try:
+                edge = int(fields[0]), int(fields[1])
+            except ValueError:
+                raise ValueError(f"non-integer endpoint in {raw!r}") from None
+            yield edge
+
+    try:
+        return graph_from_edges(vertex_count, edges())
+    except ValueError as exc:
+        raise ValueError(f"line {lineno}: {exc}") from None
 
 
 def load_graph(path: str) -> Graph:

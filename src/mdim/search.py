@@ -2,8 +2,8 @@
 
 Translation invariance lets every resolving set be normalized to contain
 phi, so the search only enumerates k-subsets {phi} + (k-1 nonzero vertices)
-in lexicographic order.  Candidates are tested in vectorized batches
-against a precomputed all-pairs distance table; the first hit in
+in lexicographic order.  Candidates are tested in vectorized batches, each
+distance computed as popcount(v ^ s) as in the verifier; the first hit in
 enumeration order wins, which makes every report independent of chunking
 and worker count.
 
@@ -18,7 +18,6 @@ import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 from typing import Iterator
 
@@ -28,8 +27,11 @@ from .construct import best_construction
 from .core import Landmarks, check_dimension
 from .resolve import is_resolving
 
-# Default cost guard; --force overrides it up to the table cap, beyond
-# which the 2^n x 2^n distance table alone is unreasonable.
+# Default cost guard; --force overrides it up to FORCED_CAP.  Memory is what
+# bounds the forced range: at n = 12 one batch of 4,095 candidates
+# (min_resolving_size(12, max_k=2, force=True)) peaked at 302 MiB RSS, of
+# which the int64 keys alone are 2^12 x 4,095 x 8 B = 128 MiB; a batch's
+# cost doubles with each further dimension (measured on a 2 vCPU Xeon).
 EXHAUSTIVE_CAP = 8
 FORCED_CAP = 12
 
@@ -53,50 +55,30 @@ class SearchReport:
     exhaustive: bool
 
 
-@lru_cache(maxsize=4)
-def _distance_table(n: int) -> np.ndarray:
-    verts = np.arange(1 << n, dtype=np.uint32)
-    return np.bitwise_count(verts[None, :] ^ verts[:, None])
-
-
-@lru_cache(maxsize=4)
-def _level_column(n: int) -> np.ndarray:
-    return np.bitwise_count(np.arange(1 << n, dtype=np.uint32)).astype(np.int64)
-
-
-def _combo_chunks(pool_size: int, first: int, r: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Blocks of combinations(range(first, pool_size), r) with their start offsets."""
-    it = itertools.combinations(range(first, pool_size), r)
+def _combo_chunks(candidates: Iterator[tuple[int, ...]]) -> Iterator[tuple[int, np.ndarray]]:
+    """Blocks of candidate member tuples as uint32 rows, with their start offsets."""
     offset = 0
-    while True:
-        block = list(itertools.islice(it, _CHUNK))
-        if not block:
-            return
-        yield offset, np.array(block, dtype=np.int64).reshape(len(block), r)
+    for block in iter(lambda: list(itertools.islice(candidates, _CHUNK)), []):
+        yield offset, np.array(block, dtype=np.uint32)
         offset += len(block)
 
 
-def _resolving_mask(n: int, combos: np.ndarray, with_phi: bool) -> np.ndarray:
-    """Which candidate columns have all-distinct distance vectors.
+def _resolving_mask(n: int, combos: np.ndarray) -> np.ndarray:
+    """Which candidates (rows of combos) have all-distinct distance vectors.
 
-    Packs each candidate's per-vertex distance entries into a single int64
-    key (b bits per entry, plus the implicit phi entry when normalized) and
-    sorts vertex-wise: a candidate resolves iff no equal neighbours appear.
+    Entry j of every candidate's vector is popcount(v ^ combos[:, j]) over
+    all vertices v.  The entries are packed into a single int64 key per
+    vertex and candidate (b bits each) and sorted vertex-wise: a candidate
+    resolves iff no equal neighbours appear.
     """
-    D = _distance_table(n)
+    verts = np.arange(1 << n, dtype=np.uint32)[:, None]
     b = n.bit_length()
     m, r = combos.shape
-    entries = r + (1 if with_phi else 0)
-    if entries * b > 62:
+    if r * b > 62:
         raise ValueError("candidate too large to pack for the batch engine")
-    if with_phi:
-        keys = np.repeat(_level_column(n)[:, None], m, axis=1)
-        shift0 = 1
-    else:
-        keys = np.zeros((1 << n, m), dtype=np.int64)
-        shift0 = 0
+    keys = np.zeros((1 << n, m), dtype=np.int64)
     for j in range(r):
-        keys += D[:, combos[:, j]].astype(np.int64) << (b * (j + shift0))
+        keys += np.bitwise_count(verts ^ combos[:, j]).astype(np.int64) << (b * j)
     keys.sort(axis=0)
     return ~np.any(keys[1:] == keys[:-1], axis=0)
 
@@ -119,21 +101,15 @@ def _ordered_parallel(fn, items: Iterator, threads: int) -> Iterator:
 def _scan_hits(n: int, size: int, normalize: bool, threads: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Yield (offset, combo block, hit indices) over all candidates of one size."""
     if normalize:
-        chunks = _combo_chunks(1 << n, 1, size - 1)
+        candidates = ((0, *rest) for rest in itertools.combinations(range(1, 1 << n), size - 1))
     else:
-        chunks = _combo_chunks(1 << n, 0, size)
+        candidates = itertools.combinations(range(1 << n), size)
 
     def job(item: tuple[int, np.ndarray]) -> tuple[int, np.ndarray, np.ndarray]:
         offset, combos = item
-        mask = _resolving_mask(n, combos, with_phi=normalize)
-        return offset, combos, np.flatnonzero(mask)
+        return offset, combos, np.flatnonzero(_resolving_mask(n, combos))
 
-    yield from _ordered_parallel(job, chunks, threads)
-
-
-def _candidate_members(combo: np.ndarray, normalize: bool) -> tuple[int, ...]:
-    members = tuple(int(c) for c in combo)
-    return (0,) + members if normalize else members
+    yield from _ordered_parallel(job, _combo_chunks(candidates), threads)
 
 
 def min_resolving_size(
@@ -168,7 +144,7 @@ def min_resolving_size(
             if hits.size:
                 local = int(hits[0])
                 examined += offset + local + 1
-                example = Landmarks(n, _candidate_members(combos[local], normalize=True))
+                example = Landmarks(n, tuple(combos[local].tolist()))
                 assert is_resolving(example).resolving
                 return SearchReport(
                     n=n,
@@ -209,7 +185,7 @@ def find_all_min_sets(n: int, k: int, normalize: bool = True, *, threads: int = 
         raise ValueError("unrestricted enumeration is limited to n <= 5")
     for _, combos, hits in _scan_hits(n, k, normalize=normalize, threads=threads):
         for local in hits:
-            yield Landmarks(n, _candidate_members(combos[int(local)], normalize))
+            yield Landmarks(n, tuple(combos[int(local)].tolist()))
 
 
 def verify_no_smaller(n: int, k: int, *, threads: int = 1) -> bool:

@@ -27,7 +27,7 @@ def payload(record):
 def test_verify_resolving_exit_zero(capsys):
     code, record = run_record(capsys, "verify", "--n", "5", "--set", "01000,00100,00010,00001")
     assert code == 0
-    assert record["schema_version"] == "1"
+    assert record["schema_version"] == "2"
     assert record["command"] == "verify"
     assert record["result"]["resolving"] is True
     assert record["result"]["witness"] is None
@@ -218,9 +218,11 @@ def test_env_var_sets_default_threads(capsys, monkeypatch):
     assert code == 0
 
 
-def test_seed_is_echoed(capsys):
-    _, record = run_record(capsys, "verify", "--n", "4", "--set", "0000,1000,0100,0010", "--seed", "7")
-    assert record["inputs"]["seed"] == 7
+def test_seed_is_rejected():
+    # --seed was reserved and never used; it went with schema_version "2"
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--n", "4", "--set", "0000,1000,0100,0010", "--seed", "7"])
+    assert exc.value.code == 2
 
 
 def test_pretty_output_is_not_json(capsys):

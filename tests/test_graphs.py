@@ -69,7 +69,7 @@ def test_bfs_path_and_unreachable():
 
 
 def test_distance_matrix_marks_unreachable_pairs():
-    m = distance_matrix(graph_from_edges(4, [(0, 1), (2, 3)])).dist
+    m = distance_matrix(graph_from_edges(4, [(0, 1), (2, 3)]))
     assert m[0][2] == UNREACHABLE and m[2][0] == UNREACHABLE
     assert m[0][1] == 1 and m[2][3] == 1
 
@@ -78,7 +78,7 @@ def test_distance_matrix_invariants():
     rng = Random(5)
     for _ in range(10):
         g = random_connected_graph(rng, rng.randint(2, 20))
-        m = distance_matrix(g).dist
+        m = distance_matrix(g)
         size = g.vertex_count
         for u in range(size):
             assert m[u][u] == 0

@@ -7,6 +7,7 @@ import pytest
 import mdim.resolve
 from helpers import naive_is_resolving, permute_vertex, random_landmarks
 from mdim.core import Landmarks, all_ones, singleton, translate_set
+from mdim.graphs import build_hypercube, is_resolving_general
 from mdim.resolve import (
     distance_vector,
     is_minimal,
@@ -41,7 +42,11 @@ def test_distance_vector_rejects_empty():
         distance_vector(0, Landmarks(5, ()))
 
 
-@pytest.mark.parametrize("check", [is_resolving, is_resolving_fast], ids=["is_resolving", "is_resolving_fast"])
+def bfs_oracle(S):
+    return is_resolving_general(build_hypercube(S.n), list(S.members))
+
+
+@pytest.mark.parametrize("check", [is_resolving, bfs_oracle], ids=["is_resolving", "bfs_oracle"])
 class TestVerifierExamples:
     def test_q3_minimum_set(self, check):
         assert check(Landmarks(3, (0, 1, 2))).resolving

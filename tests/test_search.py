@@ -100,6 +100,10 @@ def test_find_all_min_sets_matches_bruteforce():
     assert (0, 1, 2) in got
     assert list(find_all_min_sets(3, 2)) == []
     assert list(find_all_min_sets(4, 3)) == []
+    for (n, k), hits in {(4, 3): 0, (4, 4): 232, (5, 3): 0, (5, 4): 160}.items():
+        got = [S.members for S in find_all_min_sets(n, k)]
+        assert got == naive_all_resolving(n, k, require_phi=True)
+        assert len(got) == hits
 
 
 def test_find_all_min_sets_unrestricted():
@@ -107,6 +111,10 @@ def test_find_all_min_sets_unrestricted():
     assert got == naive_all_resolving(3, 3, require_phi=False)
     # sanity: strictly more sets than the phi-normalized stream
     assert len(got) > len(naive_all_resolving(3, 3, require_phi=True))
+    for (n, k), hits in {(4, 3): 0, (4, 4): 928, (5, 3): 0, (5, 4): 1280}.items():
+        got = [S.members for S in find_all_min_sets(n, k, normalize=False)]
+        assert got == naive_all_resolving(n, k, require_phi=False)
+        assert len(got) == hits
 
 
 def test_verify_no_smaller():
