@@ -1,8 +1,9 @@
 """Resolving sets and metric dimension of hypercubes.
 
 Vertices of Q^n are plain ints used as bit sets (bit i-1 <-> element i of
-{1,...,n}).  The package verifies resolving sets bit-parallel, generates
-the named constructions, searches exhaustively for minimum sets with
+{1,...,n}).  The package verifies resolving sets by meet in the middle
+(failing sets get a bit-parallel witness search), generates the named
+constructions, searches exhaustively for minimum sets with
 translation-symmetry reduction, and cross-checks everything against a
 BFS oracle on explicit graphs.
 """

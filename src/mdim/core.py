@@ -16,11 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-# Verification holds two 2^n-entry uint64 key arrays (vertex order and
-# sorted) plus a 2^n-byte mask: a peak of 17 B/vertex, measured as the
-# ru_maxrss rise of is_resolving at n = 24 and 25 (19 B/vertex for a failing
-# set at n = 24, whose repeated keys are kept too).  n = 28 was not run; at
-# those rates it needs ~4.3-4.8 GiB.  Vertices also stay inside a uint32.
+# The witness path of a failing set bounds the cap: it holds two 2^n-entry
+# uint64 key arrays (vertex order and sorted), a 2^n-byte mask and the
+# repeated keys, 17-19 B/vertex (19.2 measured as the ru_maxrss rise of
+# is_resolving on failing sets at n = 24 and 25), so ~4.3-4.8 GiB at n = 28.
+# Vertices also stay inside a uint32.  The verdict alone, which is all a
+# resolving set or is_minimal needs, keys 3^(n/2) sign vectors per half:
+# its ru_maxrss rise measured 26, 77 and 229 MiB at n = 24, 26 and 28.
 DIMENSION_CAP = 28
 
 Vertex = int

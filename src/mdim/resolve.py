@@ -1,16 +1,26 @@
 """Resolving-set verification for the hypercube.
 
 A landmark set S resolves Q^n when the 2^n distance vectors d(v,S) are
-pairwise distinct.  The verifier gives every vertex one 64-bit key,
-sum_j d(v,s_j) * w_j mod 2^64 with fixed odd weights w_j, computed with
-vectorized XOR + popcount.  Equal vectors always give equal keys, so when
-the sorted keys have no equal neighbours the set resolves.  Otherwise the
-repeated keys are confirmed exactly, vertex by vertex in increasing order,
-against the true distance vectors; a repeat whose vectors differ is a
-hash collision and is skipped.
+pairwise distinct.  For every landmark s, d(u,s) - d(v,s) = b_s . (u - v)
+with b_s = 1 - 2s, a +-1 vector; and every x in {-1,0,1}^n is u - v for
+some pair (u = the ones of x, v = its minus ones).  So S resolves exactly
+when no nonzero x in {-1,0,1}^n has b_s . x = 0 for every s in S (the
+detecting-matrix view of Lindstrom and of Sebo-Tannier).
 
-Reports are deterministic: when the set fails, the witness is the
-numerically smallest colliding pair, regardless of thread count.
+The verdict decides that by meet in the middle (Horowitz-Sahni): with
+fixed odd weights w_j, coordinate i gets the 64-bit key
+c_i = sum_j w_j b_{j,i} mod 2^64, and x gets the key c . x.  The keys of
+the 3^(n/2) sign vectors of each half of the coordinates are built and
+sorted together, and a left key equal to a negated right key marks a
+candidate x.  Every kernel vector is a candidate; every candidate is
+confirmed exactly against the sign matrix, so a key collision never
+changes a verdict.  The set resolves when x = 0 is the only confirmed one.
+
+Only a failing set pays for all 2^n vertices: each gets the key
+sum_j popcount(v ^ s_j) * w_j mod 2^64, the keys are sorted, and the
+repeated keys are confirmed exactly, vertex by vertex in increasing order,
+against the true distance vectors.  The witness is the numerically
+smallest colliding pair, regardless of thread count.
 """
 
 from __future__ import annotations
@@ -61,6 +71,68 @@ def _multipliers(k: int) -> np.ndarray:
     return (z ^ (z >> np.uint64(31))) | np.uint64(1)
 
 
+def _half_keys(coeffs: np.ndarray) -> np.ndarray:
+    """Keys coeffs . x of all 3^len(coeffs) sign vectors x, wrapping mod 2^64.
+
+    Entry sum_t d_t 3^t belongs to the x with x_t = 0, +1, -1 for d_t = 0, 1, 2.
+    """
+    keys = np.zeros(1, dtype=np.uint64)
+    for c in coeffs:
+        keys = np.concatenate([keys, keys + c, keys - c])
+    return keys
+
+
+def _sign_vectors(index: np.ndarray, length: int) -> np.ndarray:
+    """Rows x for the _half_keys entries ``index`` of a half of that length."""
+    digits = index[:, None] // 3 ** np.arange(length) % 3
+    return np.where(digits == 2, -1, digits).astype(np.int8)
+
+
+def _kernel_pairs(signs: np.ndarray, left: np.ndarray, right: np.ndarray) -> int:
+    """Count the candidate pairs (x, y) with signs . (x, y) = 0 exactly.
+
+    ``signs`` is the n x k matrix of b_{j,i}; ``left`` and ``right`` index
+    sign vectors of the first and the second half of the coordinates.
+    """
+    h = len(signs) // 2
+    rows = np.concatenate([
+        _sign_vectors(left, h) @ signs[:h],
+        -(_sign_vectors(right, len(signs) - h) @ signs[h:]),
+    ])
+    # one opaque value per row: np.unique(axis=0) groups the same rows several times slower
+    _, group = np.unique(rows.view(np.dtype((np.void, rows.shape[1]))).ravel(), return_inverse=True)
+    counts = np.bincount(group[:left.size], minlength=len(rows))
+    return int(counts @ np.bincount(group[left.size:], minlength=len(rows)))
+
+
+def _resolves(n: int, members) -> bool:
+    """True when no nonzero x in {-1,0,1}^n has b_s . x = 0 for every member s.
+
+    Keys are doubled so that the lowest bit can tag the right half's keys:
+    after one sort of both halves, a left key followed by itself plus one
+    is a candidate match.  x = 0 always matches.  When it is the only
+    candidate the set resolves; otherwise every candidate pair is counted
+    exactly, and the set resolves when that count is one.
+    """
+    bits = np.array(members, dtype=np.uint32)[:, None] >> np.arange(n, dtype=np.uint32) & 1
+    signs = 1 - 2 * bits.T.astype(np.int8)
+    weights = _multipliers(len(members))
+    coeffs = np.where(bits.T == 1, -weights, weights).sum(axis=1, dtype=np.uint64) << np.uint64(1)
+    h = n // 2
+    left = _half_keys(coeffs[:h])
+    right = _half_keys(-coeffs[h:])  # the negated keys: a match is left == right
+    merged = np.concatenate([left, right])
+    merged[left.size:] |= np.uint64(1)
+    merged.sort()
+    step = np.flatnonzero(np.diff(merged) == 1)
+    matched = merged[step[(merged[step] & np.uint64(1)) == 0]]
+    if matched.size == 1 and merged[1] == 1 and merged[2] != 1:
+        return True  # a single left key 0, a single right key 0 and no other match
+    return _kernel_pairs(
+        signs, np.flatnonzero(np.isin(left, matched)), np.flatnonzero(np.isin(right, matched))
+    ) == 1
+
+
 def _keys(n: int, members: np.ndarray, threads: int) -> np.ndarray:
     """One key per vertex: sum_j popcount(v ^ s_j) * w_j, wrapping mod 2^64."""
     N = 1 << n
@@ -109,21 +181,31 @@ def _first_collision(keys: np.ndarray, repeated: np.ndarray, members: np.ndarray
     return None
 
 
-def is_resolving(S: Landmarks, *, threads: int = 1) -> VerificationReport:
-    """Check all 2^n distance vectors for pairwise distinctness."""
+def _check(S: Landmarks) -> None:
     check_dimension(S.n)
     if not S.members:
         raise ValueError("empty landmark set cannot be verified")
+
+
+def is_resolving(S: Landmarks, *, threads: int = 1) -> VerificationReport:
+    """Check all 2^n distance vectors for pairwise distinctness.
+
+    ``threads`` splits the key packing of a failing set's witness search.
+    """
+    _check(S)
     t0 = time.perf_counter()
-    members = np.array(S.members, dtype=np.uint32)
-    keys = _keys(S.n, members, threads)
-    ranked = np.sort(keys)
-    repeated = ranked[1:][ranked[1:] == ranked[:-1]]
-    witness = _first_collision(keys, repeated, members) if repeated.size else None
+    witness = None
+    if not _resolves(S.n, S.members):
+        members = np.array(S.members, dtype=np.uint32)
+        keys = _keys(S.n, members, threads)
+        ranked = np.sort(keys)
+        repeated = ranked[1:][ranked[1:] == ranked[:-1]]
+        witness = _first_collision(keys, repeated, members) if repeated.size else None
+        assert witness is not None, "the verdict found a kernel vector the vertex keys do not show"
     return VerificationReport(
         resolving=witness is None,
         witness=witness,
-        vertices_checked=len(keys),
+        vertices_checked=1 << S.n,
         elapsed=time.perf_counter() - t0,
     )
 
@@ -135,17 +217,18 @@ is_resolving_fast = is_resolving
 def is_minimal(S: Landmarks, *, threads: int = 1) -> tuple[bool, list[Vertex]]:
     """Which members can be deleted with the rest still resolving?
 
-    Returns (minimal, removable).  Single-deletion checks suffice: any
-    resolving proper subset extends to some S minus one member, which a
-    superset of a resolving set is again resolving.
+    Returns (minimal, removable).  Single-deletion checks suffice: a
+    resolving proper subset of S lies inside some S minus one member, and
+    every superset of a resolving set resolves too.  Only verdicts are
+    needed, so ``threads`` (kept for existing callers) changes nothing.
     """
-    if not is_resolving(S, threads=threads).resolving:
+    _check(S)
+    if not _resolves(S.n, S.members):
         raise ValueError("minimality is only defined for resolving sets")
     removable: list[Vertex] = []
     if len(S.members) == 1:
         return True, removable  # the empty set never resolves (n >= 1)
     for i, s in enumerate(S.members):
-        rest = Landmarks(S.n, S.members[:i] + S.members[i + 1:])
-        if is_resolving(rest, threads=threads).resolving:
+        if _resolves(S.n, S.members[:i] + S.members[i + 1:]):
             removable.append(s)
     return not removable, removable

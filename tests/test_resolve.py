@@ -6,6 +6,7 @@ import pytest
 
 import mdim.resolve
 from helpers import naive_is_resolving, permute_vertex, random_landmarks
+from mdim.construct import basis_minimal_set, reduced_erdos_renyi_set
 from mdim.core import Landmarks, all_ones, singleton, translate_set
 from mdim.graphs import build_hypercube, is_resolving_general
 from mdim.resolve import (
@@ -125,10 +126,64 @@ def test_wide_vector_path_against_bruteforce():
             assert (got.resolving, got.witness) == expected
 
 
+def test_resolves_matches_bruteforce():
+    # n = 1 and n = 2 give the verdict a left half of no coordinates or one; every
+    # fourth set may reach n = 12, where the brute force costs most
+    rng = Random(6006)
+    for i in range(3000):
+        n = rng.randint(1, 12 if i % 4 == 0 else 9)
+        S = random_landmarks(rng, n, rng.randint(1, min(1 << n, n + 3)))
+        assert mdim.resolve._resolves(n, S.members) == naive_is_resolving(n, S.members)[0], S
+
+
+def test_resolves_matches_bfs_oracle():
+    rng = Random(8008)
+    cubes = {n: build_hypercube(n) for n in range(1, 9)}
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        S = random_landmarks(rng, n, rng.randint(1, min(1 << n, n + 3)))
+        expected = is_resolving_general(cubes[n], list(S.members)).resolving
+        assert mdim.resolve._resolves(n, S.members) == expected, S
+
+
+def test_paper_sets_beyond_the_vertex_key_reach():
+    # 2^26 vertex keys would take about 1.1 GiB; the verdict keys 3^13 sign vectors per half
+    for build in (basis_minimal_set, reduced_erdos_renyi_set):
+        report = is_resolving(build(26))
+        assert (report.resolving, report.witness, report.vertices_checked) == (True, None, 1 << 26)
+        assert is_minimal(build(22)) == (True, [])
+
+
 @pytest.fixture(params=[1, 0], ids=["all-one-weights", "all-zero-weights"])
 def colliding_weights(request, monkeypatch):
-    # Weights that make nearly every key repeat, so the exact confirm decides every verdict.
+    # Weights that make nearly every key repeat, so the exact confirms decide every verdict.
+    # Holds (candidate pairs, exact pairs) for every verdict reached while it is active.
     monkeypatch.setattr(mdim.resolve, "_multipliers", lambda k: np.full(k, request.param, dtype=np.uint64))
+    confirm = mdim.resolve._kernel_pairs
+    verdicts = []
+
+    def spy(signs, left, right):
+        pairs = confirm(signs, left, right)
+        verdicts.append((left.size * right.size, pairs))
+        return pairs
+
+    monkeypatch.setattr(mdim.resolve, "_kernel_pairs", spy)
+    return verdicts
+
+
+def overruled(verdicts):
+    """Resolving verdicts whose key matches went beyond x = 0: only the exact count got them right."""
+    return sum(pairs == 1 < candidates for candidates, pairs in verdicts)
+
+
+def test_resolves_confirms_key_matches_exactly(colliding_weights):
+    # _resolves is called directly, so the exact vertex-key path cannot mend a wrong verdict
+    rng = Random(1212)
+    for _ in range(300):
+        n = rng.randint(1, 10)
+        S = random_landmarks(rng, n, rng.randint(1, min(1 << n, n + 3)))
+        assert mdim.resolve._resolves(n, S.members) == naive_is_resolving(n, S.members)[0], S
+    assert overruled(colliding_weights) >= 50
 
 
 def test_confirm_path_matches_bruteforce(colliding_weights):
@@ -143,6 +198,7 @@ def test_confirm_path_matches_bruteforce(colliding_weights):
             S = random_landmarks(rng, n, rng.randint(25, 40))
             got = is_resolving(S)
             assert (got.resolving, got.witness) == naive_is_resolving(n, S.members), S
+    assert overruled(colliding_weights)
 
 
 def test_confirm_path_is_minimal_matches_bruteforce(colliding_weights):
@@ -159,6 +215,7 @@ def test_confirm_path_is_minimal_matches_bruteforce(colliding_weights):
         ]
         assert is_minimal(S) == (not expected, expected), S
         checked += 1
+    assert overruled(colliding_weights)
 
 
 @pytest.mark.parametrize("weights", ["splitmix", "all-one", "all-zero"])

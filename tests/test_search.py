@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+import mdim.search
 from helpers import naive_all_resolving, naive_is_resolving, naive_min_size
 from mdim.construct import best_construction
 from mdim.core import Landmarks
@@ -45,6 +46,18 @@ def test_examined_count_is_deterministic():
     report = min_resolving_size(4)
     assert report.example.members == (0, 1, 2, 4)
     assert report.subsets_examined == 1 + 15 + 105 + 2
+
+
+def test_chunk_size_does_not_change_report(monkeypatch):
+    # the first hits lie past the first block of 97 candidates, so each block's offset counts
+    default = {n: min_resolving_size(n) for n in (5, 6)}
+    stream = list(find_all_min_sets(5, 4))
+    assert default[6].subsets_examined == 48_865
+    monkeypatch.setattr(mdim.search, "_CHUNK", 97)
+    for n, report in default.items():
+        small = min_resolving_size(n)
+        assert (small.example, small.subsets_examined) == (report.example, report.subsets_examined)
+    assert list(find_all_min_sets(5, 4)) == stream
 
 
 def test_thread_count_does_not_change_report():
