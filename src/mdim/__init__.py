@@ -2,8 +2,8 @@
 
 Vertices of Q^n are plain ints used as bit sets (bit i-1 <-> element i of
 {1,...,n}).  The package verifies resolving sets by meet in the middle
-(failing sets get a bit-parallel witness search), generates the named
-constructions, searches exhaustively for minimum sets with
+(a failing set's witness comes from the same kernel vectors), generates
+the named constructions, searches exhaustively for minimum sets with
 translation-symmetry reduction, and cross-checks everything against a
 BFS oracle on explicit graphs.
 """
@@ -53,7 +53,6 @@ from .resolve import (
     distance_vector,
     is_minimal,
     is_resolving,
-    is_resolving_fast,
 )
 from .search import (
     SearchReport,
@@ -101,7 +100,6 @@ __all__ = [
     "distance_vector",
     "is_minimal",
     "is_resolving",
-    "is_resolving_fast",
     "SearchReport",
     "find_all_min_sets",
     "min_resolving_size",

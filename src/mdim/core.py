@@ -16,13 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-# The witness path of a failing set bounds the cap: it holds two 2^n-entry
-# uint64 key arrays (vertex order and sorted), a 2^n-byte mask and the
-# repeated keys, 17-19 B/vertex (19.2 measured as the ru_maxrss rise of
-# is_resolving on failing sets at n = 24 and 25), so ~4.3-4.8 GiB at n = 28.
-# Vertices also stay inside a uint32.  The verdict alone, which is all a
-# resolving set or is_minimal needs, keys 3^(n/2) sign vectors per half:
-# its ru_maxrss rise measured 26, 77 and 229 MiB at n = 24, 26 and 28.
+# The verifier keys 3^(n/2) sign vectors per half.  The ru_maxrss rise of
+# is_resolving on one thread measured 26, 77 and 229 MiB at n = 24, 26 and 28
+# for basis_minimal_set, and 28, 77 and 229 MiB for the failing set {2..n}
+# without {5}.  Its exact confirm grows with the candidates a set's kernel
+# gives: two random members at n = 28 took 12-14 s and 1.4 GiB.  Vertices
+# also stay inside a uint32.
 DIMENSION_CAP = 28
 
 Vertex = int

@@ -16,17 +16,19 @@ candidate x.  Every kernel vector is a candidate; every candidate is
 confirmed exactly against the sign matrix, so a key collision never
 changes a verdict.  The set resolves when x = 0 is the only confirmed one.
 
-Only a failing set pays for all 2^n vertices: each gets the key
-sum_j popcount(v ^ s_j) * w_j mod 2^64, the keys are sorted, and the
-repeated keys are confirmed exactly, vertex by vertex in increasing order,
-against the true distance vectors.  The witness is the numerically
-smallest colliding pair, regardless of thread count.
+A failing set's witness, the smallest colliding pair (u, v) with u < v,
+comes from the same confirmed candidates.  It has u & v = 0, since
+dropping the ones two colliding vertices share keeps them colliding and
+lowers u; so it is the least (pos x, neg x) over the nonzero kernel
+vectors x, where pos x and neg x are the vertices of x's ones and minus
+ones.  _kernel_witness finds that least pair in one pass over the
+candidates, without pairing any left half with any right half, so a
+large kernel costs no more than its candidates.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,11 +36,6 @@ import numpy as np
 from .core import Landmarks, Vertex, check_dimension, hamming_distance
 
 DistanceVector = tuple[int, ...]
-
-# Vertices keyed per packing task; the thread pool is used only from two blocks on.
-_BLOCK = 1 << 16
-# Vertices looked up in the first block of the confirm scan; later blocks double.
-_SCAN_START = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -88,31 +85,59 @@ def _sign_vectors(index: np.ndarray, length: int) -> np.ndarray:
     return np.where(digits == 2, -1, digits).astype(np.int8)
 
 
-def _kernel_pairs(signs: np.ndarray, left: np.ndarray, right: np.ndarray) -> int:
-    """Count the candidate pairs (x, y) with signs . (x, y) = 0 exactly.
+def _ranks(x: np.ndarray, shift: int, n: int) -> np.ndarray:
+    """pos << n | neg for each row of x, whose first column is coordinate shift + 1.
 
-    ``signs`` is the n x k matrix of b_{j,i}; ``left`` and ``right`` index
-    sign vectors of the first and the second half of the coordinates.
+    pos and neg are the vertices of the row's ones and of its minus ones.
+    The two halves' parts of one x rank in disjoint bits: or-ing them ranks x.
+    A rank fits in an int64 while n <= 31.
     """
-    h = len(signs) // 2
-    rows = np.concatenate([
-        _sign_vectors(left, h) @ signs[:h],
-        -(_sign_vectors(right, len(signs) - h) @ signs[h:]),
-    ])
+    place = np.left_shift(1, np.arange(shift, shift + x.shape[1]), dtype=np.int64)
+    return ((x == 1) @ place) << n | (x == -1) @ place
+
+
+def _kernel_witness(signs: np.ndarray, left: np.ndarray, right: np.ndarray) -> tuple[int, int] | None:
+    """Smallest (pos x, neg x) over nonzero x = (y, z) with signs . x = 0 exactly.
+
+    The smallest has pos x < neg x, since -x would give (neg x, pos x).
+    ``signs`` is the n x k matrix of b_{j,i}; ``left`` and ``right`` index
+    candidate sign vectors y of the first half of the coordinates and z of
+    the second.  Candidates with equal exact rows b . y = -b . z form a
+    group, and every (y, z) of a group is a kernel vector.  y and z are
+    chosen independently and z holds the higher coordinates, so the best x
+    with z != 0 joins a group's smallest-ranked nonzero z with its
+    smallest-ranked y; the best x with z = 0 is the smallest-ranked nonzero
+    y in the group of z = 0.
+    """
+    n, h = len(signs), len(signs) // 2
+    y, z = _sign_vectors(left, h), _sign_vectors(right, n - h)
+    rows = np.concatenate([y @ signs[:h], -(z @ signs[h:])])
     # one opaque value per row: np.unique(axis=0) groups the same rows several times slower
     _, group = np.unique(rows.view(np.dtype((np.void, rows.shape[1]))).ravel(), return_inverse=True)
-    counts = np.bincount(group[:left.size], minlength=len(rows))
-    return int(counts @ np.bincount(group[left.size:], minlength=len(rows)))
+    in_left, in_right = group[:left.size], group[left.size:]
+    y_rank, z_rank = _ranks(y, 0, n), _ranks(z, h, n)
+    unset = np.iinfo(np.int64).max
+    best_y = np.full(len(rows), unset)
+    np.minimum.at(best_y, in_left, y_rank)
+    best_z = np.full(len(rows), unset)
+    np.minimum.at(best_z, in_right[z_rank > 0], z_rank[z_rank > 0])
+    both = (best_y < unset) & (best_z < unset)
+    # right index 0 is z = 0, whose key always matches: it is the first right candidate
+    found = np.concatenate([best_y[both] | best_z[both], y_rank[(y_rank > 0) & (in_left == in_right[0])]])
+    if not found.size:
+        return None
+    rank = int(found.min())
+    return rank >> n, rank & ((1 << n) - 1)
 
 
-def _resolves(n: int, members) -> bool:
-    """True when no nonzero x in {-1,0,1}^n has b_s . x = 0 for every member s.
+def _witness(n: int, members) -> tuple[int, int] | None:
+    """The smallest colliding pair (u, v), u < v, or None when the members resolve Q^n.
 
     Keys are doubled so that the lowest bit can tag the right half's keys:
     after one sort of both halves, a left key followed by itself plus one
     is a candidate match.  x = 0 always matches.  When it is the only
-    candidate the set resolves; otherwise every candidate pair is counted
-    exactly, and the set resolves when that count is one.
+    candidate the set resolves; otherwise the candidates are confirmed
+    exactly and the witness taken from the kernel vectors among them.
     """
     bits = np.array(members, dtype=np.uint32)[:, None] >> np.arange(n, dtype=np.uint32) & 1
     signs = 1 - 2 * bits.T.astype(np.int8)
@@ -127,58 +152,10 @@ def _resolves(n: int, members) -> bool:
     step = np.flatnonzero(np.diff(merged) == 1)
     matched = merged[step[(merged[step] & np.uint64(1)) == 0]]
     if matched.size == 1 and merged[1] == 1 and merged[2] != 1:
-        return True  # a single left key 0, a single right key 0 and no other match
-    return _kernel_pairs(
+        return None  # a single left key 0, a single right key 0 and no other match
+    return _kernel_witness(
         signs, np.flatnonzero(np.isin(left, matched)), np.flatnonzero(np.isin(right, matched))
-    ) == 1
-
-
-def _keys(n: int, members: np.ndarray, threads: int) -> np.ndarray:
-    """One key per vertex: sum_j popcount(v ^ s_j) * w_j, wrapping mod 2^64."""
-    N = 1 << n
-    weights = _multipliers(len(members))
-    keys = np.zeros(N, dtype=np.uint64)
-
-    def pack(lo: int) -> None:
-        hi = min(lo + _BLOCK, N)
-        verts = np.arange(lo, hi, dtype=np.uint32)
-        out = keys[lo:hi]
-        term = np.empty(hi - lo, dtype=np.uint64)
-        for s, w in zip(members, weights):
-            np.multiply(np.bitwise_count(verts ^ s), w, out=term)
-            out += term
-
-    starts = range(0, N, _BLOCK)
-    if threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(pack, starts))
-    else:
-        for lo in starts:
-            pack(lo)
-    return keys
-
-
-def _first_collision(keys: np.ndarray, repeated: np.ndarray, members: np.ndarray) -> tuple[int, int] | None:
-    """Smallest (u, v), u < v, with equal distance vectors.
-
-    ``repeated`` holds, sorted, every key that occurs more than once.
-    Vertices are scanned in increasing order; one whose key is repeated is
-    compared exactly with its later key-mates, and its first true mate is
-    the witness.
-    """
-    N = len(keys)
-    lo, step = 0, _SCAN_START
-    while lo < N:
-        block = keys[lo:lo + step]
-        found = repeated[np.minimum(np.searchsorted(repeated, block), len(repeated) - 1)] == block
-        for u in (lo + np.flatnonzero(found)).tolist():
-            mates = u + 1 + np.flatnonzero(keys[u + 1:] == keys[u])
-            same = (np.bitwise_count(mates[:, None] ^ members) == np.bitwise_count(u ^ members)).all(axis=1)
-            if same.any():
-                return u, int(mates[np.argmax(same)])
-        lo += len(block)
-        step *= 2
-    return None
+    )
 
 
 def _check(S: Landmarks) -> None:
@@ -190,18 +167,11 @@ def _check(S: Landmarks) -> None:
 def is_resolving(S: Landmarks, *, threads: int = 1) -> VerificationReport:
     """Check all 2^n distance vectors for pairwise distinctness.
 
-    ``threads`` splits the key packing of a failing set's witness search.
+    ``threads`` (kept for existing callers) changes nothing.
     """
     _check(S)
     t0 = time.perf_counter()
-    witness = None
-    if not _resolves(S.n, S.members):
-        members = np.array(S.members, dtype=np.uint32)
-        keys = _keys(S.n, members, threads)
-        ranked = np.sort(keys)
-        repeated = ranked[1:][ranked[1:] == ranked[:-1]]
-        witness = _first_collision(keys, repeated, members) if repeated.size else None
-        assert witness is not None, "the verdict found a kernel vector the vertex keys do not show"
+    witness = _witness(S.n, S.members)
     return VerificationReport(
         resolving=witness is None,
         witness=witness,
@@ -210,25 +180,21 @@ def is_resolving(S: Landmarks, *, threads: int = 1) -> VerificationReport:
     )
 
 
-# Public name kept for existing callers; the same verifier.
-is_resolving_fast = is_resolving
-
-
 def is_minimal(S: Landmarks, *, threads: int = 1) -> tuple[bool, list[Vertex]]:
     """Which members can be deleted with the rest still resolving?
 
     Returns (minimal, removable).  Single-deletion checks suffice: a
     resolving proper subset of S lies inside some S minus one member, and
-    every superset of a resolving set resolves too.  Only verdicts are
-    needed, so ``threads`` (kept for existing callers) changes nothing.
+    every superset of a resolving set resolves too.  ``threads`` (kept for
+    existing callers) changes nothing.
     """
     _check(S)
-    if not _resolves(S.n, S.members):
+    if _witness(S.n, S.members) is not None:
         raise ValueError("minimality is only defined for resolving sets")
     removable: list[Vertex] = []
     if len(S.members) == 1:
         return True, removable  # the empty set never resolves (n >= 1)
     for i, s in enumerate(S.members):
-        if _resolves(S.n, S.members[:i] + S.members[i + 1:]):
+        if _witness(S.n, S.members[:i] + S.members[i + 1:]) is None:
             removable.append(s)
     return not removable, removable

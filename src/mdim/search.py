@@ -3,9 +3,8 @@
 Translation invariance lets every resolving set be normalized to contain
 phi, so the search only enumerates k-subsets {phi} + (k-1 nonzero vertices)
 in lexicographic order.  Candidates are tested in vectorized batches, each
-distance computed as popcount(v ^ s) as in the verifier; the first hit in
-enumeration order wins, which makes every report independent of chunking
-and worker count.
+distance computed as popcount(v ^ s); the first hit in enumeration order
+wins, which makes every report independent of chunking and worker count.
 
 Minimum sizes for n >= 6 are not literature claims; they are values this
 search computes and certifies exhaustively within its guards.

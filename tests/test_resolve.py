@@ -13,7 +13,6 @@ from mdim.resolve import (
     distance_vector,
     is_minimal,
     is_resolving,
-    is_resolving_fast,
 )
 
 
@@ -61,6 +60,12 @@ class TestVerifierExamples:
         assert not report.resolving
         assert report.witness == (1, 2)  # e1 and e2 collide
 
+    def test_witness_from_either_half_or_both(self, check):
+        # the verifier splits coordinates 1..n//2 from the rest; x is the kernel vector u - v
+        assert check(Landmarks(4, (1, 6))).witness == (0, 3)  # x = -{1}-{2}, low half only
+        assert check(Landmarks(4, (4, 8))).witness == (0, 12)  # x = -{3}-{4} beats x = {1}-{2}
+        assert check(Landmarks(7, (80, 62))).witness == (0, 17)  # x = -{1}-{5} beats x inside the low half
+
     def test_er_q5(self, check):
         assert check(Landmarks(5, (31, 7, 10, 22))).resolving
 
@@ -102,10 +107,6 @@ def test_matches_bruteforce_randomized():
         assert (got.resolving, got.witness) == expected, S
 
 
-def test_fast_is_an_alias():
-    assert is_resolving_fast is is_resolving
-
-
 def test_matches_bruteforce_on_random_sets_up_to_n9():
     rng = Random(1801)
     for _ in range(300):
@@ -133,7 +134,7 @@ def test_resolves_matches_bruteforce():
     for i in range(3000):
         n = rng.randint(1, 12 if i % 4 == 0 else 9)
         S = random_landmarks(rng, n, rng.randint(1, min(1 << n, n + 3)))
-        assert mdim.resolve._resolves(n, S.members) == naive_is_resolving(n, S.members)[0], S
+        assert mdim.resolve._witness(n, S.members) == naive_is_resolving(n, S.members)[1], S
 
 
 def test_resolves_matches_bfs_oracle():
@@ -142,47 +143,51 @@ def test_resolves_matches_bfs_oracle():
     for _ in range(300):
         n = rng.randint(1, 8)
         S = random_landmarks(rng, n, rng.randint(1, min(1 << n, n + 3)))
-        expected = is_resolving_general(cubes[n], list(S.members)).resolving
-        assert mdim.resolve._resolves(n, S.members) == expected, S
+        expected = is_resolving_general(cubes[n], list(S.members))
+        got = is_resolving(S)
+        assert (got.resolving, got.witness) == (expected.resolving, expected.witness), S
 
 
 def test_paper_sets_beyond_the_vertex_key_reach():
-    # 2^26 vertex keys would take about 1.1 GiB; the verdict keys 3^13 sign vectors per half
+    # a key per vertex would take 0.5-2 GiB here; the verifier keys 3^13-3^14 sign vectors per half
     for build in (basis_minimal_set, reduced_erdos_renyi_set):
         report = is_resolving(build(26))
         assert (report.resolving, report.witness, report.vertices_checked) == (True, None, 1 << 26)
         assert is_minimal(build(22)) == (True, [])
+    for j in (5, 28):
+        # {2}, ..., {28} without {j}: no member tells {1} from {j}
+        S = Landmarks(28, tuple(singleton(i) for i in range(2, 29) if i != j))
+        assert is_resolving(S).witness == (1, 1 << (j - 1))
 
 
 @pytest.fixture(params=[1, 0], ids=["all-one-weights", "all-zero-weights"])
 def colliding_weights(request, monkeypatch):
     # Weights that make nearly every key repeat, so the exact confirms decide every verdict.
-    # Holds (candidate pairs, exact pairs) for every verdict reached while it is active.
+    # Holds (candidate pairs, witness) for every confirm reached while it is active.
     monkeypatch.setattr(mdim.resolve, "_multipliers", lambda k: np.full(k, request.param, dtype=np.uint64))
-    confirm = mdim.resolve._kernel_pairs
+    confirm = mdim.resolve._kernel_witness
     verdicts = []
 
     def spy(signs, left, right):
-        pairs = confirm(signs, left, right)
-        verdicts.append((left.size * right.size, pairs))
-        return pairs
+        witness = confirm(signs, left, right)
+        verdicts.append((left.size * right.size, witness))
+        return witness
 
-    monkeypatch.setattr(mdim.resolve, "_kernel_pairs", spy)
+    monkeypatch.setattr(mdim.resolve, "_kernel_witness", spy)
     return verdicts
 
 
 def overruled(verdicts):
-    """Resolving verdicts whose key matches went beyond x = 0: only the exact count got them right."""
-    return sum(pairs == 1 < candidates for candidates, pairs in verdicts)
+    """Resolving verdicts whose key matches went beyond x = 0: only the exact confirm got them right."""
+    return sum(witness is None and candidates > 1 for candidates, witness in verdicts)
 
 
 def test_resolves_confirms_key_matches_exactly(colliding_weights):
-    # _resolves is called directly, so the exact vertex-key path cannot mend a wrong verdict
     rng = Random(1212)
     for _ in range(300):
         n = rng.randint(1, 10)
         S = random_landmarks(rng, n, rng.randint(1, min(1 << n, n + 3)))
-        assert mdim.resolve._resolves(n, S.members) == naive_is_resolving(n, S.members)[0], S
+        assert mdim.resolve._witness(n, S.members) == naive_is_resolving(n, S.members)[1], S
     assert overruled(colliding_weights) >= 50
 
 
@@ -224,9 +229,9 @@ def test_confirm_path_two_blocks_witness_independent_of_threads(weights, monkeyp
         fill = 1 if weights == "all-one" else 0
         monkeypatch.setattr(mdim.resolve, "_multipliers", lambda k: np.full(k, fill, dtype=np.uint64))
     # No member uses coordinates 1 and 2, so {1} and {2} collide.  Coordinate 17 is in
-    # half the members, so under all-one weights phi shares its key with {17}, in the
-    # second 2^16-vertex block, without sharing its vector; all-zero weights give every
-    # vertex phi's key.  Only an exact confirm skips phi.
+    # half the members, so under all-one weights x = {17} has key 0 without being a
+    # kernel vector, and would give the smaller pair (phi, {17}); all-zero weights give
+    # every x key 0.  Only an exact confirm rejects them.
     top = 1 << 16
     S = Landmarks(17, tuple(1 << i | top for i in range(2, 9)) + tuple(1 << i for i in range(9, 16)))
     for threads in (1, 2):
