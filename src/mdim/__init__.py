@@ -3,9 +3,9 @@
 Vertices of Q^n are plain ints used as bit sets (bit i-1 <-> element i of
 {1,...,n}).  The package verifies resolving sets by meet in the middle
 (a failing set's witness comes from the same kernel vectors), generates
-the named constructions, searches exhaustively for minimum sets with
-translation-symmetry reduction, and cross-checks everything against a
-BFS oracle on explicit graphs.
+the named constructions, searches exhaustively for minimum sets over
+column sets (translation and coordinate-permutation symmetry reduced),
+and cross-checks everything against a BFS oracle on explicit graphs.
 """
 
 from .core import (

@@ -1,9 +1,10 @@
 """General-graph resolving-set oracle.
 
 Distances come from plain breadth-first search on adjacency lists, with no
-shared machinery with the bit-parallel hypercube path; that independence is
-what makes this module usable as a cross-check oracle.  It also carries the
-K2 cartesian product used to lift resolving sets one dimension up.
+shared machinery with the meet-in-the-middle hypercube verifier; that
+independence is what makes this module usable as a cross-check oracle.  It
+also carries the K2 cartesian product used to lift resolving sets one
+dimension up.
 """
 
 from __future__ import annotations

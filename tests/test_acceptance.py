@@ -171,8 +171,8 @@ def test_criterion_07_oracle_equivalence():
     _report(
         7,
         True,
-        "brute force == bit-parallel on flag and witness (500 sets per n=4..10); "
-        "BFS oracle == bit-parallel on flag and witness (500 sets, n<=8); zero discrepancies",
+        "brute force == meet-in-the-middle verifier on flag and witness (500 sets per n=4..10); "
+        "BFS oracle == meet-in-the-middle verifier on flag and witness (500 sets, n<=8); zero discrepancies",
     )
 
 

@@ -1,4 +1,5 @@
 import itertools
+from math import comb, prod
 
 import pytest
 
@@ -61,14 +62,16 @@ def test_chunk_size_does_not_change_report(monkeypatch):
 
 
 def test_thread_count_does_not_change_report():
-    a = min_resolving_size(6, threads=1)
-    b = min_resolving_size(6, threads=4)
-    assert (a.min_size, a.example, a.subsets_examined, a.exhaustive) == (
-        b.min_size,
-        b.example,
-        b.subsets_examined,
-        b.exhaustive,
-    )
+    for n in (6, 7):
+        a = min_resolving_size(n, threads=1)
+        for threads in (2, 4):
+            b = min_resolving_size(n, threads=threads)
+            assert (a.min_size, a.example, a.subsets_examined, a.exhaustive) == (
+                b.min_size,
+                b.example,
+                b.subsets_examined,
+                b.exhaustive,
+            )
 
 
 def test_max_k_fallback_is_marked_non_exhaustive():
@@ -135,6 +138,7 @@ def test_verify_no_smaller():
     assert not verify_no_smaller(4, 4)
     assert verify_no_smaller(5, 3)
     assert not verify_no_smaller(5, 4)
+    assert verify_no_smaller(2, 5)  # more members than vertices
 
 
 def test_min_size_monotone_over_computed_range():
@@ -156,3 +160,60 @@ def test_q6_size_4_failures_spot_check():
     for _ in range(20):
         members = (0,) + tuple(sorted(rng.sample(range(1, 64), 3)))
         assert not is_resolving(Landmarks(6, members)).resolving
+
+
+def test_column_choices_are_distinct_within_each_cell():
+    # a cell of size m takes an m-subset of the r-bit columns, in increasing order
+    for sizes, r in [([3], 2), ([1, 2], 2), ([2, 1, 1], 2), ([4], 2), ([1], 0), ([2, 3], 3)]:
+        choices = list(mdim.search._column_choices(sizes, r))
+        assert len(choices) == prod(comb(1 << r, m) for m in sizes)
+        assert len(set(choices)) == len(choices)
+        for choice in choices:
+            start = 0
+            for m in sizes:
+                cell = choice[start:start + m]
+                assert all(a < b for a, b in zip(cell, cell[1:]))
+                assert all(0 <= c < 1 << r for c in cell)
+                start += m
+
+
+def test_column_scan_matches_plain_scan():
+    # every stratum: the column-set verdict has a hit exactly when the plain
+    # scan does, and the prefix search returns the plain scan's first hit
+    for n in range(1, 7):
+        for k in range(1, 6):
+            first = next(find_all_min_sets(n, k), None)
+            assert verify_no_smaller(n, k) == (first is None), (n, k)
+            if first is not None:
+                assert mdim.search._first_hit(n, k, 1) == first.members, (n, k)
+        report = min_resolving_size(n)
+        assert report.example == next(find_all_min_sets(n, report.min_size))
+
+
+def test_extends_matches_plain_scan_on_longer_prefixes():
+    # prefixes with several cells: "contained in a resolving k-set" by the
+    # column scan against the plain stream of resolving k-sets
+    for n, k in [(3, 3), (3, 4), (4, 4), (4, 5), (5, 4), (5, 5)]:
+        hits = [set(S.members) for S in find_all_min_sets(n, k)]
+        for t in range(1, k) if n < 5 else (1, 2):
+            for rest in itertools.combinations(range(1, 1 << n), t):
+                prefix = (0,) + rest
+                expected = any(set(prefix) <= hit for hit in hits)
+                assert mdim.search._extends(n, k, prefix) == expected, (n, k, prefix)
+
+
+def test_pinned_search_records():
+    # n = 7: the values the plain scan gave before the column-set search
+    report = min_resolving_size(7)
+    assert (report.min_size, report.example.members, report.subsets_examined, report.exhaustive) == (
+        6, (0, 1, 2, 12, 20, 36), 10_741_212, True,
+    )
+    report = min_resolving_size(7, max_k=4)
+    assert (report.example, report.subsets_examined, report.exhaustive) == (best_construction(7), 341_504, False)
+    # n = 8: example and count come from the prefix search itself, not from an
+    # independent scan (the plain scan does not reach the first hit)
+    report = min_resolving_size(8)
+    assert (report.min_size, report.exhaustive) == (6, True)
+    assert report.example.members == (0, 3, 5, 24, 41, 78)
+    assert report.subsets_examined == 514_009_519
+    assert naive_is_resolving(8, report.example.members) == (True, None)
