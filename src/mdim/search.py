@@ -23,10 +23,15 @@ by arithmetic.  The plain scan over every phi-containing k-subset stays
 for find_all_min_sets, which lists every hit, and as the reference the
 tests compare against.
 
-Candidates are tested in vectorized blocks, each distance computed as
-popcount(v ^ s).  Every verdict is an existence question and every
-listing keeps enumeration order, so no report depends on the block size
-or the worker count.
+Candidates are built in numpy, in lexicographic order, as blocks of at
+most _CHUNK rows made as they are consumed: _combination_blocks for the
+plain scan and _column_choice_blocks for the column scan.  The kernel lays a
+block out one row per candidate: each distance is popcount(v ^ s) in
+uint8 or uint16, a candidate's distances are packed into one key per
+vertex in the narrowest of uint16, uint32 and uint64 that holds them, and
+each row of 2^n keys is sorted.  Every verdict is an existence question
+and every listing keeps enumeration order, so no report depends on the
+block size or the worker count.
 
 Minimum sizes for n >= 6 are not literature claims; they are values this
 search computes and certifies exhaustively within its guards.
@@ -34,12 +39,11 @@ search computes and certifies exhaustively within its guards.
 
 from __future__ import annotations
 
-import itertools
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 from typing import Iterator
 
 import numpy as np
@@ -49,16 +53,20 @@ from .core import Landmarks, check_dimension
 from .resolve import is_resolving
 
 # Default cost guard; --force overrides it up to FORCED_CAP.  Under the
-# default, `dimension --n 8` takes 6-8 s at 76 MiB peak RSS on one thread.
-# Above it time bounds the search: a stratum with no hit scans all of its
-# C(2^(k-1), n) column sets (C(32, 9) = 28 M at n = 9, k = 6), and one block
-# of _CHUNK candidates took 0.4 s and 119 MiB peak RSS at n = 9, 4.0 s and
-# 579 MiB at n = 12, with up to 2 x threads blocks in flight (measured on a
-# 2 vCPU Xeon).
+# default, `dimension --n 8` takes 0.7-0.9 s at 34 MiB peak RSS on one
+# thread.  Above it time bounds the search: a stratum with no hit scans all
+# of its C(2^(k-1), n) column sets (C(32, 9) = 28 M at n = 9, k = 6), and the
+# kernel took 0.07 s for one block of _CHUNK candidates at n = 9, k = 6 and
+# 0.55 s at n = 12, k = 7, in a process of 36 MiB peak RSS, with up to
+# 2 x threads blocks in flight (measured on a 2 vCPU Xeon).
 EXHAUSTIVE_CAP = 8
 FORCED_CAP = 12
 
 _CHUNK = 8192
+# Keys per kernel tile: small enough for a tile's buffers to stay in cache.
+# On a 2 vCPU Xeon one n = 8 block of _CHUNK candidates took 16 ms in tiles
+# of 2^16 keys against 37 ms untiled.
+_TILE_KEYS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -79,30 +87,94 @@ class SearchReport:
     exhaustive: bool
 
 
-def _combo_chunks(candidates: Iterator[tuple[int, ...]]) -> Iterator[np.ndarray]:
-    """Blocks of up to _CHUNK candidate tuples as uint32 rows."""
-    for block in iter(lambda: list(itertools.islice(candidates, _CHUNK)), []):
-        yield np.array(block, dtype=np.uint32)
-
-
 def _resolving_mask(n: int, combos: np.ndarray) -> np.ndarray:
     """Which candidates (rows of combos) have all-distinct distance vectors.
 
     Entry j of every candidate's vector is popcount(v ^ combos[:, j]) over
-    all vertices v.  The entries are packed into a single int64 key per
-    vertex and candidate (b bits each) and sorted vertex-wise: a candidate
-    resolves iff no equal neighbours appear.
+    all vertices v.  The entries are packed b bits each into one key per
+    candidate and vertex, in the narrowest unsigned dtype that holds r * b
+    bits, laid out one row per candidate and sorted along the rows: a
+    candidate resolves iff its sorted row has no equal neighbours.  Rows
+    go through in tiles of about _TILE_KEYS keys, whose buffers are reused.
     """
-    verts = np.arange(1 << n, dtype=np.uint32)[:, None]
-    b = n.bit_length()
     m, r = combos.shape
+    b = n.bit_length()
     if r * b > 62:
         raise ValueError("candidate too large to pack for the batch engine")
-    keys = np.zeros((1 << n, m), dtype=np.int64)
-    for j in range(r):
-        keys += np.bitwise_count(verts ^ combos[:, j]).astype(np.int64) << (b * j)
-    keys.sort(axis=0)
-    return ~np.any(keys[1:] == keys[:-1], axis=0)
+    key_dtype = np.uint16 if r * b <= 16 else np.uint32 if r * b <= 32 else np.uint64
+    vertex_dtype = np.min_scalar_type((1 << n) - 1)
+    verts = np.arange(1 << n, dtype=vertex_dtype)
+    columns = combos.astype(vertex_dtype)
+    tile = max(1, _TILE_KEYS >> n)
+    diff = np.empty((min(tile, m), 1 << n), dtype=vertex_dtype)
+    count = np.empty(diff.shape, dtype=np.uint8)
+    keys = np.empty(diff.shape, dtype=key_dtype)
+    shifted = np.empty(diff.shape, dtype=key_dtype)
+    collides = np.empty(m, dtype=bool)
+    for lo in range(0, m, tile):
+        part = columns[lo:lo + tile]
+        x, pop, key, tmp = diff[:len(part)], count[:len(part)], keys[:len(part)], shifted[:len(part)]
+        key.fill(0)
+        for j in range(r):
+            np.bitwise_xor(part[:, j, None], verts, out=x)
+            np.bitwise_count(x, out=pop)
+            key |= np.left_shift(pop, b * j, dtype=key_dtype, out=tmp)
+        key.sort(axis=1)
+        np.any(key[:, 1:] == key[:, :-1], axis=1, out=collides[lo:lo + len(part)])
+    return ~collides
+
+
+def _packed(parts: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
+    """Join consecutive blocks of at most _CHUNK rows, in order, into blocks of at most _CHUNK rows."""
+    pending: list[np.ndarray] = []
+    rows = 0
+    for part in parts:
+        if rows + len(part) > _CHUNK:
+            yield np.concatenate(pending)
+            pending, rows = [], 0
+        if len(part):
+            pending.append(part)
+            rows += len(part)
+    if pending:
+        yield np.concatenate(pending)
+
+
+def _all_combinations(lo: int, hi: int, k: int) -> np.ndarray:
+    """Every sorted k-subset of range(lo, hi) as one uint32 array, in lexicographic order.
+
+    Grown one position at a time: each row is repeated once per value that
+    can follow its last element and still leave room for the rest.  Every
+    partial row has a completion, so no intermediate has more rows than
+    the result.
+    """
+    rows = np.zeros((1, 0), dtype=np.uint32)
+    for j in range(k):
+        first = rows[:, -1].astype(np.int64) + 1 if j else np.full(len(rows), lo, dtype=np.int64)
+        counts = np.maximum(hi - (k - 1 - j) - first, 0)
+        offsets = np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
+        column = (np.repeat(first, counts) + offsets).astype(np.uint32)
+        rows = np.column_stack([np.repeat(rows, counts, axis=0), column])
+    return rows
+
+
+def _subtrees(lo: int, hi: int, k: int, head: tuple[int, ...]) -> Iterator[np.ndarray]:
+    """head followed by every sorted k-subset of range(lo, hi), one vectorized subtree at a time."""
+    if comb(max(hi - lo, 0), k) <= _CHUNK:
+        tail = _all_combinations(lo, hi, k)
+        yield np.column_stack([np.broadcast_to(np.array(head, dtype=np.uint32), (len(tail), len(head))), tail])
+        return
+    for first in range(lo, hi - k + 1):
+        yield from _subtrees(first + 1, hi, k - 1, head + (first,))
+
+
+def _combination_blocks(lo: int, hi: int, k: int) -> Iterator[np.ndarray]:
+    """The sorted k-subsets of range(lo, hi) in lexicographic order, as uint32 blocks of at most _CHUNK rows.
+
+    A subtree of at most _CHUNK subsets is built in numpy; larger ones fix
+    their first element in Python and recurse, so C(32, 8) = 10.5 M rows
+    at n = 8 are never built at once.
+    """
+    return _packed(_subtrees(lo, hi, k, ()))
 
 
 def _ordered_parallel(fn, items: Iterator, threads: int) -> Iterator:
@@ -123,28 +195,54 @@ def _ordered_parallel(fn, items: Iterator, threads: int) -> Iterator:
 def _scan_hits(n: int, size: int, normalize: bool, threads: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield (combo block, hit indices) over all candidates of one size."""
     if normalize:
-        candidates = ((0, *rest) for rest in itertools.combinations(range(1, 1 << n), size - 1))
+        blocks = (
+            np.column_stack([np.zeros(len(rest), dtype=np.uint32), rest])
+            for rest in _combination_blocks(1, 1 << n, size - 1)
+        )
     else:
-        candidates = itertools.combinations(range(1 << n), size)
+        blocks = _combination_blocks(0, 1 << n, size)
 
     def job(combos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return combos, np.flatnonzero(_resolving_mask(n, combos))
 
-    yield from _ordered_parallel(job, _combo_chunks(candidates), threads)
+    yield from _ordered_parallel(job, blocks, threads)
 
 
-def _column_choices(sizes: list[int], r: int) -> Iterator[tuple[int, ...]]:
+def _column_choice_blocks(sizes: list[int], r: int) -> Iterator[np.ndarray]:
     """Every choice of sizes[c] distinct r-bit columns for each cell c, concatenated.
 
-    Lazy on purpose: itertools.product would first build each cell's whole
-    list of combinations, C(32, 8) = 10.5 M tuples for one cell at n = 8.
+    Rows come in lexicographic order as uint32 blocks of at most _CHUNK
+    rows: each block of the first cell's combinations times the choices
+    for the other cells.  Those are built once when they fit in one block,
+    and again for every row of the first cell when they do not.  Every
+    size must be at most 2^r.
     """
     if not sizes:
-        yield ()
+        yield np.zeros((1, 0), dtype=np.uint32)
         return
-    for head in itertools.combinations(range(1 << r), sizes[0]):
-        for tail in _column_choices(sizes[1:], r):
-            yield head + tail
+    rest = sizes[1:]
+    heads = _combination_blocks(0, 1 << r, sizes[0])
+    if prod(comb(1 << r, m) for m in rest) <= _CHUNK:
+        (tail,) = _column_choice_blocks(rest, r)
+        step = _CHUNK // len(tail)
+        parts = (
+            np.column_stack([np.repeat(part, len(tail), axis=0), np.tile(tail, (len(part), 1))])
+            for head in heads
+            for part in np.split(head, range(step, len(head), step))
+        )
+    else:
+        parts = (
+            np.column_stack([np.broadcast_to(row, (len(tail), row.size)), tail])
+            for head in heads
+            for row in head
+            for tail in _column_choice_blocks(rest, r)
+        )
+    yield from _packed(parts)
+
+
+def _columns(n: int, prefix: tuple[int, ...]) -> list[int]:
+    """Coordinate i's column: bit j is bit i of prefix[j]."""
+    return [sum((p >> i & 1) << j for j, p in enumerate(prefix)) for i in range(n)]
 
 
 def _extends(n: int, k: int, prefix: tuple[int, ...], threads: int = 1) -> bool:
@@ -163,8 +261,7 @@ def _extends(n: int, k: int, prefix: tuple[int, ...], threads: int = 1) -> bool:
         return False
     r = k - len(prefix)
     cells: dict[int, list[int]] = {}
-    for i in range(n):
-        column = sum((p >> i & 1) << j for j, p in enumerate(prefix))
+    for i, column in enumerate(_columns(n, prefix)):
         cells.setdefault(column, []).append(i)
     sizes = [len(cell) for cell in cells.values()]
     if max(sizes) > 1 << r:
@@ -182,7 +279,7 @@ def _extends(n: int, k: int, prefix: tuple[int, ...], threads: int = 1) -> bool:
         combos = np.concatenate([np.broadcast_to(taken, (int(keep.sum()), taken.size)), rows[keep]], axis=1)
         return bool(combos.size) and bool(_resolving_mask(n, combos).any())
 
-    return any(_ordered_parallel(job, _combo_chunks(_column_choices(sizes, r)), threads))
+    return any(_ordered_parallel(job, _column_choice_blocks(sizes, r), threads))
 
 
 def _first_hit(n: int, k: int, threads: int) -> tuple[int, ...]:
@@ -196,10 +293,25 @@ def _first_hit(n: int, k: int, threads: int) -> tuple[int, ...]:
     S_j < H_j: S sorts before H, which cannot be.  So the unconstrained
     "contained in" test of _extends picks H_(t+1), as a test restricted to
     sets whose first t + 2 members are the prefix and v would.
+
+    Within one step a candidate prefix is skipped, without a scan, when its
+    sorted columns equal those of one already ruled out.  Equal column
+    multisets mean some coordinate permutation maps one prefix onto the
+    other member by member, and being contained in a resolving k-set is
+    invariant under coordinate permutations.
     """
     prefix = (0,)
     while len(prefix) < k:
-        v = next(v for v in range(prefix[-1] + 1, 1 << n) if _extends(n, k, prefix + (v,), threads))
+        ruled_out: set[tuple[int, ...]] = set()
+        for v in range(prefix[-1] + 1, 1 << n):
+            shape = tuple(sorted(_columns(n, prefix + (v,))))
+            if shape in ruled_out:
+                continue
+            if _extends(n, k, prefix + (v,), threads):
+                break
+            ruled_out.add(shape)
+        else:
+            raise AssertionError(f"no resolving {k}-set contains {prefix}")
         prefix += (v,)
     return prefix
 
@@ -291,8 +403,8 @@ def find_all_min_sets(n: int, k: int, normalize: bool = True, *, threads: int = 
     if not normalize and n > 5:
         raise ValueError("unrestricted enumeration is limited to n <= 5")
     for combos, hits in _scan_hits(n, k, normalize=normalize, threads=threads):
-        for local in hits:
-            yield Landmarks(n, tuple(combos[int(local)].tolist()))
+        for members in combos[hits].tolist():
+            yield Landmarks(n, tuple(members))
 
 
 def verify_no_smaller(n: int, k: int, *, threads: int = 1) -> bool:

@@ -1,6 +1,7 @@
 import itertools
 from math import comb, prod
 
+import numpy as np
 import pytest
 
 import mdim.search
@@ -50,7 +51,8 @@ def test_examined_count_is_deterministic():
 
 
 def test_chunk_size_does_not_change_report(monkeypatch):
-    # the first hits lie past the first block of 97 candidates, so each block's offset counts
+    # blocks of 97 candidates split every stratum and column scan into many
+    # blocks; verdicts, examples, counts and the listing must not notice
     default = {n: min_resolving_size(n) for n in (5, 6)}
     stream = list(find_all_min_sets(5, 4))
     assert default[6].subsets_examined == 48_865
@@ -72,6 +74,11 @@ def test_thread_count_does_not_change_report():
                 b.subsets_examined,
                 b.exhaustive,
             )
+
+
+@pytest.mark.parametrize("n,k", [(5, 4), (6, 5)])
+def test_thread_count_does_not_change_listing(n, k):
+    assert list(find_all_min_sets(n, k, threads=2)) == list(find_all_min_sets(n, k, threads=1))
 
 
 def test_max_k_fallback_is_marked_non_exhaustive():
@@ -162,19 +169,89 @@ def test_q6_size_4_failures_spot_check():
         assert not is_resolving(Landmarks(6, members)).resolving
 
 
-def test_column_choices_are_distinct_within_each_cell():
+@pytest.mark.parametrize("chunk", [97, mdim.search._CHUNK])
+def test_combination_blocks_match_itertools(monkeypatch, chunk):
+    monkeypatch.setattr(mdim.search, "_CHUNK", chunk)
+    cases = [(0, 5, 0), (3, 3, 0), (0, 5, 1), (1, 64, 1), (3, 3, 2), (5, 3, 2), (0, 4, 5), (0, 10, 10),
+             (1, 64, 4), (0, 16, 8)]
+    for lo, hi, k in cases:
+        blocks = list(mdim.search._combination_blocks(lo, hi, k))
+        assert all(0 < len(block) <= chunk and block.shape[1] == k for block in blocks), (lo, hi, k)
+        got = [tuple(row) for block in blocks for row in block.tolist()]
+        assert got == list(itertools.combinations(range(lo, hi), k)), (lo, hi, k)
+
+
+def test_combination_blocks_stream_c32_8():
+    # the n = 8 stratum's 10.5 M column sets, too many to compare as tuples:
+    # C(32, 8) increasing rows below 32 whose base-32 values increase are
+    # exactly the 8-subsets of range(32) in lexicographic order
+    rows, last = 0, -1
+    for block in mdim.search._combination_blocks(0, 32, 8):
+        assert len(block) <= mdim.search._CHUNK
+        assert (block[:, 1:] > block[:, :-1]).all() and (block[:, -1] < 32).all()
+        keys = block.astype(np.int64) @ (32 ** np.arange(7, -1, -1, dtype=np.int64))
+        assert keys[0] > last and (keys[1:] > keys[:-1]).all()
+        rows, last = rows + len(block), keys[-1]
+    assert rows == comb(32, 8)
+
+
+def test_column_choices_are_distinct_within_each_cell(monkeypatch):
     # a cell of size m takes an m-subset of the r-bit columns, in increasing order
-    for sizes, r in [([3], 2), ([1, 2], 2), ([2, 1, 1], 2), ([4], 2), ([1], 0), ([2, 3], 3)]:
-        choices = list(mdim.search._column_choices(sizes, r))
-        assert len(choices) == prod(comb(1 << r, m) for m in sizes)
-        assert len(set(choices)) == len(choices)
-        for choice in choices:
-            start = 0
-            for m in sizes:
-                cell = choice[start:start + m]
-                assert all(a < b for a, b in zip(cell, cell[1:]))
-                assert all(0 <= c < 1 << r for c in cell)
-                start += m
+    for chunk in (97, mdim.search._CHUNK):
+        monkeypatch.setattr(mdim.search, "_CHUNK", chunk)
+        for sizes, r in [([3], 2), ([1, 2], 2), ([2, 1, 1], 2), ([4], 2), ([1], 0), ([2, 3], 3), ([1, 1, 1, 1], 3)]:
+            blocks = list(mdim.search._column_choice_blocks(sizes, r))
+            assert all(len(block) <= chunk for block in blocks)
+            choices = [tuple(row) for block in blocks for row in block.tolist()]
+            assert len(choices) == prod(comb(1 << r, m) for m in sizes)
+            assert len(set(choices)) == len(choices)
+            assert choices == sorted(choices)
+            for choice in choices:
+                start = 0
+                for m in sizes:
+                    cell = choice[start:start + m]
+                    assert all(a < b for a, b in zip(cell, cell[1:]))
+                    assert all(0 <= c < 1 << r for c in cell)
+                    start += m
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_resolving_mask_matches_naive(monkeypatch, n):
+    # the kernel against the dict-of-vectors oracle, which shares none of its
+    # machinery; sizes cover keys of 16, 32 and 64 bits and r = 1, blocks
+    # have one row or repeated rows, and tiles of 5 rows reuse their buffers
+    rng = np.random.default_rng(1000 + n)
+    b = n.bit_length()
+    sizes = sorted({1, 2, n, 16 // b, 32 // b, 32 // b + 1, 62 // b} & set(range(1, 62 // b + 1)))
+    for r in sizes:
+        for m in (1, 24):
+            combos = rng.integers(0, 1 << n, size=(m, r), dtype=np.uint32)
+            combos[m // 2:] = combos[:m - m // 2]
+            expected = [naive_is_resolving(n, tuple(row))[0] for row in combos.tolist()]
+            assert mdim.search._resolving_mask(n, combos).tolist() == expected, (n, r, m)
+            with monkeypatch.context() as patch:
+                patch.setattr(mdim.search, "_TILE_KEYS", 5 << n)
+                assert mdim.search._resolving_mask(n, combos).tolist() == expected, (n, r, m, "tiles of 5")
+    with pytest.raises(ValueError):
+        mdim.search._resolving_mask(n, np.zeros((1, 62 // b + 1), dtype=np.uint32))
+
+
+def test_first_hit_skips_prefixes_equal_up_to_permutation(monkeypatch):
+    calls = []
+    extends = mdim.search._extends
+
+    def spy(n, k, prefix, threads=1):
+        calls.append(prefix)
+        return extends(n, k, prefix, threads)
+
+    expected = next(find_all_min_sets(6, 5)).members
+    monkeypatch.setattr(mdim.search, "_extends", spy)
+    assert mdim.search._first_hit(6, 5, 1) == expected
+    for t in range(2, 6):
+        shapes = [tuple(sorted(mdim.search._columns(6, prefix))) for prefix in calls if len(prefix) == t]
+        assert len(shapes) == len(set(shapes)), t
+    # (0, 1, 4) and (0, 1, 5) are (0, 1, 2) and (0, 1, 3) with coordinates 2 and 3 swapped
+    assert [prefix for prefix in calls if len(prefix) == 3] == [(0, 1, 2), (0, 1, 3), (0, 1, 6)]
 
 
 def test_column_scan_matches_plain_scan():
