@@ -26,12 +26,13 @@ tests compare against.
 Candidates are built in numpy, in lexicographic order, as blocks of at
 most _CHUNK rows made as they are consumed: _combination_blocks for the
 plain scan and _column_choice_blocks for the column scan.  The kernel lays a
-block out one row per candidate: each distance is popcount(v ^ s) in
-uint8 or uint16, a candidate's distances are packed into one key per
-vertex in the narrowest of uint16, uint32 and uint64 that holds them, and
-each row of 2^n keys is sorted.  Every verdict is an existence question
-and every listing keeps enumeration order, so no report depends on the
-block size or the worker count.
+block out one row per candidate and packs a candidate's distances into one
+key per vertex, in the narrowest of uint16, uint32 and uint64 that holds
+them.  A distance splits over the low and high halves of the coordinates,
+so each half's keys are one gather from small cached tables and a row of
+2^n keys is their outer sum; each row is then sorted.  Every verdict is an
+existence question and every listing keeps enumeration order, so no report
+depends on the block size or the worker count.
 
 Minimum sizes for n >= 6 are not literature claims; they are values this
 search computes and certifies exhaustively within its guards.
@@ -43,6 +44,7 @@ import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, prod
 from typing import Iterator
 
@@ -53,19 +55,20 @@ from .core import Landmarks, check_dimension
 from .resolve import is_resolving
 
 # Default cost guard; --force overrides it up to FORCED_CAP.  Under the
-# default, `dimension --n 8` takes 0.7-0.9 s at 34 MiB peak RSS on one
+# default, `dimension --n 8` takes 0.4-0.5 s at 34 MiB peak RSS on one
 # thread.  Above it time bounds the search: a stratum with no hit scans all
 # of its C(2^(k-1), n) column sets (C(32, 9) = 28 M at n = 9, k = 6), and the
-# kernel took 0.07 s for one block of _CHUNK candidates at n = 9, k = 6 and
-# 0.55 s at n = 12, k = 7, in a process of 36 MiB peak RSS, with up to
-# 2 x threads blocks in flight (measured on a 2 vCPU Xeon).
+# kernel took 15-22 ms for one block of _CHUNK candidates at n = 9, k = 6 and
+# 0.15-0.20 s at n = 12, k = 7, with up to 2 x threads blocks in flight;
+# `dimension --n 9 --force` took 111 s at 37 MiB peak RSS on one thread
+# (measured on a 2 vCPU Xeon).
 EXHAUSTIVE_CAP = 8
 FORCED_CAP = 12
 
 _CHUNK = 8192
 # Keys per kernel tile: small enough for a tile's buffers to stay in cache.
-# On a 2 vCPU Xeon one n = 8 block of _CHUNK candidates took 16 ms in tiles
-# of 2^16 keys against 37 ms untiled.
+# On a 2 vCPU Xeon one n = 8 block of _CHUNK candidates took 8-10 ms in
+# tiles of 2^16 keys against 15-19 ms untiled.
 _TILE_KEYS = 1 << 16
 
 
@@ -87,41 +90,61 @@ class SearchReport:
     exhaustive: bool
 
 
+@lru_cache(maxsize=None)
+def _half_tables(bits: int, b: int, r: int, key_dtype: type) -> np.ndarray:
+    """Row j * 2^bits + s holds popcount(s ^ v) << (b * j) for every bits-bit v."""
+    half = np.arange(1 << bits, dtype=np.uint8)
+    distance = np.bitwise_count(half[:, None] ^ half).astype(key_dtype)
+    tables = np.concatenate([distance << (b * j) for j in range(r)])
+    tables.setflags(write=False)
+    return tables
+
+
 def _resolving_mask(n: int, combos: np.ndarray) -> np.ndarray:
     """Which candidates (rows of combos) have all-distinct distance vectors.
 
-    Entry j of every candidate's vector is popcount(v ^ combos[:, j]) over
-    all vertices v.  The entries are packed b bits each into one key per
+    Entry j of every candidate's vector is d(v, combos[:, j]) over all
+    vertices v.  The entries are packed b bits each into one key per
     candidate and vertex, in the narrowest unsigned dtype that holds r * b
     bits, laid out one row per candidate and sorted along the rows: a
-    candidate resolves iff its sorted row has no equal neighbours.  Rows
-    go through in tiles of about _TILE_KEYS keys, whose buffers are reused.
+    candidate resolves iff its sorted row has no equal neighbours.
+
+    Split every vertex into its low h = ceil(n/2) bits and its high n - h:
+    d(v, s) = d(v_lo, s_lo) + d(v_hi, s_hi).  Each half's packed keys are
+    one gather from the cached _half_tables and a sum over the r members,
+    and a row of 2^n keys is the outer sum of the high and low keys.  No
+    field carries, since every entry is at most n < 2^b.  Rows go through
+    in tiles of about _TILE_KEYS keys.
     """
     m, r = combos.shape
     b = n.bit_length()
     if r * b > 62:
         raise ValueError("candidate too large to pack for the batch engine")
     key_dtype = np.uint16 if r * b <= 16 else np.uint32 if r * b <= 32 else np.uint64
-    vertex_dtype = np.min_scalar_type((1 << n) - 1)
-    verts = np.arange(1 << n, dtype=vertex_dtype)
-    columns = combos.astype(vertex_dtype)
+    h = (n + 1) // 2
+    low_tables = _half_tables(h, b, r, key_dtype)
+    high_tables = _half_tables(n - h, b, r, key_dtype)
+    lanes = np.arange(r, dtype=np.intp)[:, None]
+    low_lanes, high_lanes = lanes << h, lanes << (n - h)
     tile = max(1, _TILE_KEYS >> n)
-    diff = np.empty((min(tile, m), 1 << n), dtype=vertex_dtype)
-    count = np.empty(diff.shape, dtype=np.uint8)
-    keys = np.empty(diff.shape, dtype=key_dtype)
-    shifted = np.empty(diff.shape, dtype=key_dtype)
     collides = np.empty(m, dtype=bool)
     for lo in range(0, m, tile):
-        part = columns[lo:lo + tile]
-        x, pop, key, tmp = diff[:len(part)], count[:len(part)], keys[:len(part)], shifted[:len(part)]
-        key.fill(0)
-        for j in range(r):
-            np.bitwise_xor(part[:, j, None], verts, out=x)
-            np.bitwise_count(x, out=pop)
-            key |= np.left_shift(pop, b * j, dtype=key_dtype, out=tmp)
+        part = combos[lo:lo + tile].T
+        low = low_tables.take((part & ((1 << h) - 1)) + low_lanes, axis=0).sum(axis=0, dtype=key_dtype)
+        high = high_tables.take((part >> h) + high_lanes, axis=0).sum(axis=0, dtype=key_dtype)
+        # the outer sum high[:, :, None] + low[:, None, :], as two repeats and one
+        # contiguous add: a broadcast add loops 2^h keys at a time
+        key = np.repeat(high[:, :, None], 1 << h, axis=2)
+        key += np.repeat(low[:, None, :], 1 << (n - h), axis=1)
+        key = key.reshape(len(key), -1)
         key.sort(axis=1)
-        np.any(key[:, 1:] == key[:, :-1], axis=1, out=collides[lo:lo + len(part)])
+        np.any(key[:, 1:] == key[:, :-1], axis=1, out=collides[lo:lo + len(key)])
     return ~collides
+
+
+def _joined(parts: list[np.ndarray]) -> np.ndarray:
+    """The parts as one array; a lone part is passed on uncopied, since most blocks are one run of _subtrees."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _packed(parts: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
@@ -130,49 +153,68 @@ def _packed(parts: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
     rows = 0
     for part in parts:
         if rows + len(part) > _CHUNK:
-            yield np.concatenate(pending)
+            yield _joined(pending)
             pending, rows = [], 0
         if len(part):
             pending.append(part)
             rows += len(part)
     if pending:
-        yield np.concatenate(pending)
+        yield _joined(pending)
 
 
-def _all_combinations(lo: int, hi: int, k: int) -> np.ndarray:
-    """Every sorted k-subset of range(lo, hi) as one uint32 array, in lexicographic order.
+def _all_combinations(lo: int, hi: int, k: int, first_stop: int) -> np.ndarray:
+    """Every sorted k-subset of range(lo, hi) with first element below first_stop, as one uint32 array.
 
-    Grown one position at a time: each row is repeated once per value that
-    can follow its last element and still leave room for the rest.  Every
-    partial row has a completion, so no intermediate has more rows than
-    the result.
+    Rows come in lexicographic order.  They are grown one position at a
+    time: each row is repeated once per value that can follow its last
+    element and still leave room for the rest.  Every partial row has a
+    completion, so no intermediate has more rows than the result.
     """
     rows = np.zeros((1, 0), dtype=np.uint32)
     for j in range(k):
-        first = rows[:, -1].astype(np.int64) + 1 if j else np.full(len(rows), lo, dtype=np.int64)
-        counts = np.maximum(hi - (k - 1 - j) - first, 0)
+        first = rows[:, -1].astype(np.int64) + 1 if j else np.full(1, lo, dtype=np.int64)
+        stop = hi - (k - 1 - j) if j else min(hi - (k - 1), first_stop)
+        counts = np.maximum(stop - first, 0)
         offsets = np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
         column = (np.repeat(first, counts) + offsets).astype(np.uint32)
         rows = np.column_stack([np.repeat(rows, counts, axis=0), column])
     return rows
 
 
+def _headed(head: tuple[int, ...], tail: np.ndarray) -> np.ndarray:
+    """tail's rows, each prefixed by head."""
+    return np.column_stack([np.broadcast_to(np.array(head, dtype=np.uint32), (len(tail), len(head))), tail])
+
+
 def _subtrees(lo: int, hi: int, k: int, head: tuple[int, ...]) -> Iterator[np.ndarray]:
-    """head followed by every sorted k-subset of range(lo, hi), one vectorized subtree at a time."""
+    """head followed by every sorted k-subset of range(lo, hi), in runs of sibling subtrees.
+
+    A first element whose subtree holds more than _CHUNK subsets is fixed
+    in Python and its subtree recursed into.  Subtrees shrink as the first
+    element grows, so the rest are built in numpy, consecutive siblings
+    together, at most _CHUNK rows per run.
+    """
     if comb(max(hi - lo, 0), k) <= _CHUNK:
-        tail = _all_combinations(lo, hi, k)
-        yield np.column_stack([np.broadcast_to(np.array(head, dtype=np.uint32), (len(tail), len(head))), tail])
+        yield _headed(head, _all_combinations(lo, hi, k, hi))
         return
-    for first in range(lo, hi - k + 1):
+    first = lo
+    while comb(hi - first - 1, k - 1) > _CHUNK:
         yield from _subtrees(first + 1, hi, k - 1, head + (first,))
+        first += 1
+    while first <= hi - k:
+        stop, rows = first, 0
+        while stop <= hi - k and rows + comb(hi - stop - 1, k - 1) <= _CHUNK:
+            rows += comb(hi - stop - 1, k - 1)
+            stop += 1
+        yield _headed(head, _all_combinations(first, hi, k, stop))
+        first = stop
 
 
 def _combination_blocks(lo: int, hi: int, k: int) -> Iterator[np.ndarray]:
     """The sorted k-subsets of range(lo, hi) in lexicographic order, as uint32 blocks of at most _CHUNK rows.
 
-    A subtree of at most _CHUNK subsets is built in numpy; larger ones fix
-    their first element in Python and recurse, so C(32, 8) = 10.5 M rows
-    at n = 8 are never built at once.
+    No more than _CHUNK rows are built at once, so C(32, 8) = 10.5 M rows
+    at n = 8 never are.
     """
     return _packed(_subtrees(lo, hi, k, ()))
 
@@ -403,8 +445,15 @@ def find_all_min_sets(n: int, k: int, normalize: bool = True, *, threads: int = 
     if not normalize and n > 5:
         raise ValueError("unrestricted enumeration is limited to n <= 5")
     for combos, hits in _scan_hits(n, k, normalize=normalize, threads=threads):
-        for members in combos[hits].tolist():
-            yield Landmarks(n, tuple(members))
+        found = combos[hits]
+        # Landmarks' own checks, once per block: members below 2^n, and
+        # strictly increasing rows, so pairwise distinct
+        if found.size and (found.max() >> n or not (found[:, 1:] > found[:, :-1]).all()):
+            raise ValueError(f"search produced an invalid landmark set for n={n}")
+        for members in found.tolist():
+            S = object.__new__(Landmarks)
+            S.__dict__.update(n=n, members=tuple(members))
+            yield S
 
 
 def verify_no_smaller(n: int, k: int, *, threads: int = 1) -> bool:

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import itertools
 from math import comb, prod
 
@@ -140,6 +142,44 @@ def test_find_all_min_sets_unrestricted():
         assert len(got) == hits
 
 
+@pytest.mark.parametrize("n,k,normalize,count,first,last,digest", [
+    (6, 5, True, 58_080, (0, 1, 6, 10, 18), (0, 47, 54, 58, 60),
+     "7c4de202a49bd2e3812b0ce56ee5e138cbe6650542c72d45900a3d1beee726b3"),
+    (5, 4, False, 1_280, (0, 3, 5, 9), (23, 27, 29, 30),
+     "76a1ecb68163ccc3d74348639191cd1a80c05b8acc058c1c17b0a5615c425939"),
+])
+def test_listing_is_pinned(n, k, normalize, count, first, last, digest):
+    # the whole member stream, recorded before the table-gather kernel replaced
+    # XOR + popcount: one line of space-separated members per set
+    stream = [S.members for S in find_all_min_sets(n, k, normalize=normalize)]
+    assert (len(stream), stream[0], stream[-1]) == (count, first, last)
+    text = "\n".join(" ".join(map(str, members)) for members in stream)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_listing_yields_real_landmarks():
+    # the objects skip Landmarks' per-member checks but must behave as if built by it
+    for n, k, normalize in [(5, 4, True), (4, 4, False)]:
+        for S in find_all_min_sets(n, k, normalize=normalize):
+            built = Landmarks(n, S.members)
+            assert S == built and hash(S) == hash(built)
+            assert type(S.members) is tuple and all(type(v) is int for v in S.members)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                S.members = ()
+
+
+@pytest.mark.parametrize("bad", [[0, 1, 2, 32], [0, 1, 1, 2]])
+def test_listing_checks_each_hit_block(monkeypatch, bad):
+    # a member >= 2^n, or a repeated member, in a hit block is refused: the
+    # once-per-block check stands in for Landmarks' own
+    def scan(n, size, normalize, threads):
+        yield np.array([[0, 1, 2, 3], bad], dtype=np.uint32), np.array([0, 1])
+
+    monkeypatch.setattr(mdim.search, "_scan_hits", scan)
+    with pytest.raises(ValueError):
+        list(find_all_min_sets(5, 4))
+
+
 def test_verify_no_smaller():
     assert verify_no_smaller(3, 2)
     assert not verify_no_smaller(4, 4)
@@ -179,6 +219,32 @@ def test_combination_blocks_match_itertools(monkeypatch, chunk):
         assert all(0 < len(block) <= chunk and block.shape[1] == k for block in blocks), (lo, hi, k)
         got = [tuple(row) for block in blocks for row in block.tolist()]
         assert got == list(itertools.combinations(range(lo, hi), k)), (lo, hi, k)
+
+
+@pytest.mark.parametrize("chunk", [97, mdim.search._CHUNK])
+def test_combination_blocks_build_at_most_chunk_rows(monkeypatch, chunk):
+    # sibling subtrees are built together, but no numpy build holds more than
+    # _CHUNK rows, and every row is built exactly once; C(32, 8) is the n = 8
+    # stratum, and at 97 rows, where it would take 150 K builds, C(20, 8)
+    # stands in for it
+    monkeypatch.setattr(mdim.search, "_CHUNK", chunk)
+    build = mdim.search._all_combinations
+    built = []
+
+    def spy(*args):
+        rows = build(*args)
+        built.append(len(rows))
+        return rows
+
+    monkeypatch.setattr(mdim.search, "_all_combinations", spy)
+    cases = [(0, 5, 0), (3, 3, 0), (0, 5, 1), (1, 64, 1), (3, 3, 2), (5, 3, 2), (0, 4, 5), (0, 10, 10),
+             (1, 64, 4), (0, 16, 8), (0, 20, 8) if chunk == 97 else (0, 32, 8)]
+    for lo, hi, k in cases:
+        built.clear()
+        for _ in mdim.search._combination_blocks(lo, hi, k):
+            pass
+        assert built and max(built) <= chunk, (lo, hi, k)
+        assert sum(built) == comb(max(hi - lo, 0), k), (lo, hi, k)
 
 
 def test_combination_blocks_stream_c32_8():
