@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -24,14 +23,6 @@ from .resolve import is_minimal, is_resolving
 from .search import min_resolving_size
 
 SCHEMA_VERSION = "2"
-
-
-def _default_threads() -> int:
-    raw = os.environ.get("MDIM_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _emit(args, command: str, inputs: dict, result: dict, t0: float) -> None:
@@ -68,7 +59,7 @@ def _fmt_witness(witness, n: int):
 def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     S = parse_landmarks(args.set, args.n)
-    report = is_resolving(S, threads=args.threads)
+    report = is_resolving(S)
     inputs = {"n": args.n, "set": _fmt_members(S), "fast": bool(args.fast)}
     result = {
         "resolving": report.resolving,
@@ -82,7 +73,7 @@ def cmd_verify(args) -> int:
 def cmd_minimal(args) -> int:
     t0 = time.perf_counter()
     S = parse_landmarks(args.set, args.n)
-    report = is_resolving(S, threads=args.threads)
+    report = is_resolving(S)
     inputs = {"n": args.n, "set": _fmt_members(S)}
     if not report.resolving:
         result = {
@@ -93,7 +84,7 @@ def cmd_minimal(args) -> int:
         }
         _emit(args, "minimal", inputs, result, t0)
         return 1
-    minimal, removable = is_minimal(S, threads=args.threads)
+    minimal, removable = is_minimal(S)
     result = {
         "resolving": True,
         "witness": None,
@@ -129,7 +120,7 @@ def cmd_construct(args) -> int:
 
 def cmd_dimension(args) -> int:
     t0 = time.perf_counter()
-    report = min_resolving_size(args.n, max_k=args.max_k, force=args.force, threads=args.threads)
+    report = min_resolving_size(args.n, max_k=args.max_k, force=args.force)
     inputs = {"n": args.n, "max_k": args.max_k, "force": bool(args.force)}
     result = {
         "min_size": report.min_size,
@@ -166,9 +157,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, threads_note: str = "") -> None:
-        p.add_argument("--threads", type=int, default=_default_threads(),
-                       help="worker threads (default: MDIM_THREADS or 1); never changes results" + threads_note)
+    def add_common(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--threads", type=int, default=1, help="accepted for compatibility; changes nothing")
         p.add_argument("--pretty", action="store_true", help="human-readable output instead of JSON")
 
     p = sub.add_parser("verify", help="check whether a landmark set resolves Q^n")
@@ -198,8 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-k", dest="max_k", type=int, default=None,
                    help="largest size to try (default: n)")
     p.add_argument("--force", action="store_true", help="override the exhaustive-cost guard")
-    add_common(p, "; two threads are no faster at n = 8, whose search is mostly one-block "
-                  "prefix checks made in turn, and about 1.2x faster at n = 9 under --force")
+    add_common(p)
     p.set_defaults(func=cmd_dimension)
 
     p = sub.add_parser("graph-verify", help="BFS resolving check on an edge-list graph file")

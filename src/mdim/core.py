@@ -153,7 +153,7 @@ def parse_vertex(text: str, n: int) -> Vertex:
         v = 0
         for part in inner.split(","):
             p = part.strip()
-            if not p.isdigit():
+            if not (p.isascii() and p.isdigit()):
                 raise ValueError(f"bad element {part.strip()!r} in {text!r}")
             i = int(p)
             if not 1 <= i <= n:

@@ -149,7 +149,7 @@ def parse_graph(text: str) -> Graph:
     if header is None:
         raise ValueError("missing 'p <vertex_count>' line")
     lineno, raw, fields = header
-    if fields[0] != "p" or len(fields) != 2 or not fields[1].isdigit():
+    if fields[0] != "p" or len(fields) != 2 or not (fields[1].isascii() and fields[1].isdigit()):
         raise ValueError(f"line {lineno}: expected 'p <vertex_count>', got {raw!r}")
     vertex_count = int(fields[1])
     if vertex_count < 1:
@@ -160,11 +160,9 @@ def parse_graph(text: str) -> Graph:
         for lineno, raw, fields in lines:
             if len(fields) != 2:
                 raise ValueError(f"expected 'u v', got {raw!r}")
-            try:
-                edge = int(fields[0]), int(fields[1])
-            except ValueError:
-                raise ValueError(f"non-integer endpoint in {raw!r}") from None
-            yield edge
+            if not all(f.isascii() and f.isdigit() for f in fields):
+                raise ValueError(f"endpoints must be ASCII-digit vertex indices, got {raw!r}")
+            yield int(fields[0]), int(fields[1])
 
     try:
         return graph_from_edges(vertex_count, edges())

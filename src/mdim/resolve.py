@@ -181,7 +181,7 @@ def _check(S: Landmarks) -> None:
 def is_resolving(S: Landmarks, *, threads: int = 1) -> VerificationReport:
     """Check all 2^n distance vectors for pairwise distinctness.
 
-    ``threads`` (kept for existing callers) changes nothing.
+    ``threads`` is accepted for compatibility and ignored.
     """
     _check(S)
     t0 = time.perf_counter()
@@ -199,8 +199,8 @@ def is_minimal(S: Landmarks, *, threads: int = 1) -> tuple[bool, list[Vertex]]:
 
     Returns (minimal, removable).  Single-deletion checks suffice: a
     resolving proper subset of S lies inside some S minus one member, and
-    every superset of a resolving set resolves too.  ``threads`` (kept for
-    existing callers) changes nothing.
+    every superset of a resolving set resolves too.  ``threads`` is
+    accepted for compatibility and ignored.
     """
     _check(S)
     if _witness(S.n, S.members) is not None:

@@ -32,7 +32,7 @@ them.  A distance splits over the low and high halves of the coordinates,
 so each half's keys are one gather from small cached tables and a row of
 2^n keys is their outer sum; each row is then sorted.  Every verdict is an
 existence question and every listing keeps enumeration order, so no report
-depends on the block size or the worker count.
+depends on the block size.
 
 Minimum sizes for n >= 6 are not literature claims; they are values this
 search computes and certifies exhaustively within its guards.
@@ -41,8 +41,6 @@ search computes and certifies exhaustively within its guards.
 from __future__ import annotations
 
 import time
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, prod
@@ -55,13 +53,13 @@ from .core import Landmarks, check_dimension
 from .resolve import is_resolving
 
 # Default cost guard; --force overrides it up to FORCED_CAP.  Under the
-# default, `dimension --n 8` takes 0.4-0.5 s at 34 MiB peak RSS on one
-# thread.  Above it time bounds the search: a stratum with no hit scans all
-# of its C(2^(k-1), n) column sets (C(32, 9) = 28 M at n = 9, k = 6), and the
-# kernel took 15-22 ms for one block of _CHUNK candidates at n = 9, k = 6 and
-# 0.15-0.20 s at n = 12, k = 7, with up to 2 x threads blocks in flight;
-# `dimension --n 9 --force` took 111 s at 37 MiB peak RSS on one thread
-# (measured on a 2 vCPU Xeon).
+# default, `dimension --n 8` takes 0.4-0.5 s at 34 MiB peak RSS.  Above it
+# time bounds the search: a stratum with no hit scans all of its
+# C(2^(k-1), n) column sets (C(32, 9) = 28 M at n = 9, k = 6), and the kernel
+# took 15-22 ms for one block of _CHUNK candidates at n = 9, k = 6 and
+# 0.15-0.20 s at n = 12, k = 7, with one block in flight;
+# `dimension --n 9 --force` took 111-114 s at 37 MiB peak RSS (measured on a
+# 2 vCPU Xeon).
 EXHAUSTIVE_CAP = 8
 FORCED_CAP = 12
 
@@ -219,22 +217,7 @@ def _combination_blocks(lo: int, hi: int, k: int) -> Iterator[np.ndarray]:
     return _packed(_subtrees(lo, hi, k, ()))
 
 
-def _ordered_parallel(fn, items: Iterator, threads: int) -> Iterator:
-    """Map fn over items with a bounded worker pool, preserving order."""
-    if threads <= 1:
-        yield from map(fn, items)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        pending: deque = deque()
-        for item in items:
-            pending.append(pool.submit(fn, item))
-            if len(pending) >= threads * 2:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-
-
-def _scan_hits(n: int, size: int, normalize: bool, threads: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _scan_hits(n: int, size: int, normalize: bool) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield (combo block, hit indices) over all candidates of one size."""
     if normalize:
         blocks = (
@@ -243,11 +226,8 @@ def _scan_hits(n: int, size: int, normalize: bool, threads: int) -> Iterator[tup
         )
     else:
         blocks = _combination_blocks(0, 1 << n, size)
-
-    def job(combos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return combos, np.flatnonzero(_resolving_mask(n, combos))
-
-    yield from _ordered_parallel(job, blocks, threads)
+    for combos in blocks:
+        yield combos, np.flatnonzero(_resolving_mask(n, combos))
 
 
 def _column_choice_blocks(sizes: list[int], r: int) -> Iterator[np.ndarray]:
@@ -287,7 +267,7 @@ def _columns(n: int, prefix: tuple[int, ...]) -> list[int]:
     return [sum((p >> i & 1) << j for j, p in enumerate(prefix)) for i in range(n)]
 
 
-def _extends(n: int, k: int, prefix: tuple[int, ...], threads: int = 1) -> bool:
+def _extends(n: int, k: int, prefix: tuple[int, ...]) -> bool:
     """Is the sorted prefix (0, p_1, ..., p_t) contained in some resolving k-set?
 
     Coordinates whose prefix columns are equal form a cell; permuting a
@@ -311,20 +291,19 @@ def _extends(n: int, k: int, prefix: tuple[int, ...], threads: int = 1) -> bool:
     coordinates = np.array([i for cell in cells.values() for i in cell], dtype=np.uint32)
     taken = np.array(prefix, dtype=np.uint32)
     lanes = np.arange(r, dtype=np.uint32)
-
-    def job(columns: np.ndarray) -> bool:
+    for columns in _column_choice_blocks(sizes, r):
         # row j of a choice has bit i set where coordinate i's column has bit j set
         rows = ((columns[:, :, None] >> lanes & 1) << coordinates[:, None]).sum(axis=1, dtype=np.uint32)
         ordered = np.sort(rows, axis=1)
         keep = np.all(ordered[:, 1:] != ordered[:, :-1], axis=1)
         keep &= ~np.any(rows[:, :, None] == taken, axis=(1, 2))  # taken holds phi: no zero rows
         combos = np.concatenate([np.broadcast_to(taken, (int(keep.sum()), taken.size)), rows[keep]], axis=1)
-        return bool(combos.size) and bool(_resolving_mask(n, combos).any())
+        if combos.size and _resolving_mask(n, combos).any():
+            return True
+    return False
 
-    return any(_ordered_parallel(job, _column_choice_blocks(sizes, r), threads))
 
-
-def _first_hit(n: int, k: int, threads: int) -> tuple[int, ...]:
+def _first_hit(n: int, k: int) -> tuple[int, ...]:
     """The lexicographically first phi-normalized resolving k-set; one must exist.
 
     Greedy prefix extension: append the least v > p_t with which the
@@ -349,7 +328,7 @@ def _first_hit(n: int, k: int, threads: int) -> tuple[int, ...]:
             shape = tuple(sorted(_columns(n, prefix + (v,))))
             if shape in ruled_out:
                 continue
-            if _extends(n, k, prefix + (v,), threads):
+            if _extends(n, k, prefix + (v,)):
                 break
             ruled_out.add(shape)
         else:
@@ -387,7 +366,8 @@ def min_resolving_size(
     subsets_examined its 1-based position in the plain enumeration of
     every phi-containing set by size, then lexicographically.  When max_k
     is exhausted without a hit the report falls back to the best known
-    construction with exhaustive=False.
+    construction with exhaustive=False.  ``threads`` is accepted for
+    compatibility and ignored.
     """
     check_dimension(n)
     if max_k is None:
@@ -404,8 +384,8 @@ def min_resolving_size(
     pool = (1 << n) - 1
     examined = 0
     for k in range(1, max_k + 1):
-        if _extends(n, k, (0,), threads):
-            example = Landmarks(n, _first_hit(n, k, threads))
+        if _extends(n, k, (0,)):
+            example = Landmarks(n, _first_hit(n, k))
             assert is_resolving(example).resolving
             return SearchReport(
                 n=n,
@@ -433,7 +413,8 @@ def find_all_min_sets(n: int, k: int, normalize: bool = True, *, threads: int = 
 
     normalize=True restricts to sets containing phi (sufficient up to
     translation); normalize=False enumerates all subsets and is only
-    allowed at n <= 5.
+    allowed at n <= 5.  ``threads`` is accepted for compatibility and
+    ignored.
     """
     check_dimension(n)
     if n > 6:
@@ -444,7 +425,7 @@ def find_all_min_sets(n: int, k: int, normalize: bool = True, *, threads: int = 
         raise ValueError(f"set size must be >= 1, got {k}")
     if not normalize and n > 5:
         raise ValueError("unrestricted enumeration is limited to n <= 5")
-    for combos, hits in _scan_hits(n, k, normalize=normalize, threads=threads):
+    for combos, hits in _scan_hits(n, k, normalize=normalize):
         found = combos[hits]
         # Landmarks' own checks, once per block: members below 2^n, and
         # strictly increasing rows, so pairwise distinct
@@ -456,7 +437,7 @@ def find_all_min_sets(n: int, k: int, normalize: bool = True, *, threads: int = 
             yield S
 
 
-def verify_no_smaller(n: int, k: int, *, threads: int = 1) -> bool:
+def verify_no_smaller(n: int, k: int) -> bool:
     """True iff no size-k resolving set containing phi exists.
 
     By translation invariance this certifies that no resolving set of size
@@ -467,4 +448,4 @@ def verify_no_smaller(n: int, k: int, *, threads: int = 1) -> bool:
         raise ValueError(f"verify_no_smaller is limited to n <= {EXHAUSTIVE_CAP}, got {n}")
     if k < 1:
         raise ValueError(f"set size must be >= 1, got {k}")
-    return not _extends(n, k, (0,), threads)
+    return not _extends(n, k, (0,))

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -209,13 +213,12 @@ def test_threads_flag_does_not_change_payload(capsys):
     assert records[0] == records[1] == records[2]
 
 
-def test_env_var_sets_default_threads(capsys, monkeypatch):
-    monkeypatch.setenv("MDIM_THREADS", "4")
-    _, record = run_record(capsys, "verify", "--n", "4", "--set", "0000,1000,0100,0010")
-    assert record["result"]["resolving"] is True
-    monkeypatch.setenv("MDIM_THREADS", "junk")
-    code, record = run_record(capsys, "verify", "--n", "4", "--set", "0000,1000,0100,0010")
-    assert code == 0
+def test_cli_imports_no_worker_pool():
+    # the search and the verifier run on one thread; importing
+    # concurrent.futures would cost start-up time for nothing
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import mdim.cli, sys; assert 'concurrent.futures' not in sys.modules, 'pool imported'"
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": str(src)})
 
 
 def test_seed_is_rejected():

@@ -136,6 +136,14 @@ def test_parse_vertex_rejects(bad):
         parse_vertex(bad, 5)
 
 
+@pytest.mark.parametrize("bad", ["{1,\u0663}", "{\u00b2}"])
+def test_parse_vertex_takes_ascii_digits_only(bad):
+    # str.isdigit accepts any Unicode digit: int() reads the Arabic-Indic
+    # three as 3 and fails on the superscript two
+    with pytest.raises(ValueError, match="bad element"):
+        parse_vertex(bad, 5)
+
+
 def test_split_vertex_list_respects_braces():
     assert split_vertex_list("{1,2,3},{2,4},01000") == ["{1,2,3}", "{2,4}", "01000"]
     with pytest.raises(ValueError):

@@ -177,6 +177,12 @@ p 3
         ("p 3\n0 1\n1 0\n", "line 3"),
         ("# only comments\n", "missing"),
         ("p 0\n", "line 1"),
+        # ASCII digits only: int() would read these as 10, 1 and 1, and the
+        # superscript passes str.isdigit but not int()
+        ("p 11\n0 1_0\n", "line 2: endpoints"),
+        ("p 3\n0 +1\n", "line 2: endpoints"),
+        ("p 3\n0 \u0661\n", "line 2: endpoints"),
+        ("p \u00b2\n", "line 1: expected"),
     ],
 )
 def test_parse_graph_errors(text, fragment):

@@ -66,21 +66,24 @@ def test_chunk_size_does_not_change_report(monkeypatch):
 
 
 def test_thread_count_does_not_change_report():
-    for n in (6, 7):
-        a = min_resolving_size(n, threads=1)
-        for threads in (2, 4):
-            b = min_resolving_size(n, threads=threads)
-            assert (a.min_size, a.example, a.subsets_examined, a.exhaustive) == (
-                b.min_size,
-                b.example,
-                b.subsets_examined,
-                b.exhaustive,
-            )
-
-
-@pytest.mark.parametrize("n,k", [(5, 4), (6, 5)])
-def test_thread_count_does_not_change_listing(n, k):
-    assert list(find_all_min_sets(n, k, threads=2)) == list(find_all_min_sets(n, k, threads=1))
+    # everything runs on one thread, but the public entry points keep an
+    # ignored threads= because the benchmark's workloads and the acceptance
+    # criteria pass it
+    S = best_construction(7)
+    verdict = is_resolving(S)
+    search = min_resolving_size(6)
+    for threads in (2, 4):
+        report = is_resolving(S, threads=threads)
+        assert (report.resolving, report.witness) == (verdict.resolving, verdict.witness)
+        assert is_minimal(S, threads=threads) == is_minimal(S)
+        report = min_resolving_size(6, threads=threads)
+        assert (report.min_size, report.example, report.subsets_examined, report.exhaustive) == (
+            search.min_size,
+            search.example,
+            search.subsets_examined,
+            search.exhaustive,
+        )
+        assert list(find_all_min_sets(5, 4, threads=threads)) == list(find_all_min_sets(5, 4))
 
 
 def test_max_k_fallback_is_marked_non_exhaustive():
@@ -172,7 +175,7 @@ def test_listing_yields_real_landmarks():
 def test_listing_checks_each_hit_block(monkeypatch, bad):
     # a member >= 2^n, or a repeated member, in a hit block is refused: the
     # once-per-block check stands in for Landmarks' own
-    def scan(n, size, normalize, threads):
+    def scan(n, size, normalize):
         yield np.array([[0, 1, 2, 3], bad], dtype=np.uint32), np.array([0, 1])
 
     monkeypatch.setattr(mdim.search, "_scan_hits", scan)
@@ -306,13 +309,13 @@ def test_first_hit_skips_prefixes_equal_up_to_permutation(monkeypatch):
     calls = []
     extends = mdim.search._extends
 
-    def spy(n, k, prefix, threads=1):
+    def spy(n, k, prefix):
         calls.append(prefix)
-        return extends(n, k, prefix, threads)
+        return extends(n, k, prefix)
 
     expected = next(find_all_min_sets(6, 5)).members
     monkeypatch.setattr(mdim.search, "_extends", spy)
-    assert mdim.search._first_hit(6, 5, 1) == expected
+    assert mdim.search._first_hit(6, 5) == expected
     for t in range(2, 6):
         shapes = [tuple(sorted(mdim.search._columns(6, prefix))) for prefix in calls if len(prefix) == t]
         assert len(shapes) == len(set(shapes)), t
@@ -328,7 +331,7 @@ def test_column_scan_matches_plain_scan():
             first = next(find_all_min_sets(n, k), None)
             assert verify_no_smaller(n, k) == (first is None), (n, k)
             if first is not None:
-                assert mdim.search._first_hit(n, k, 1) == first.members, (n, k)
+                assert mdim.search._first_hit(n, k) == first.members, (n, k)
         report = min_resolving_size(n)
         assert report.example == next(find_all_min_sets(n, report.min_size))
 
