@@ -86,6 +86,11 @@ def test_thread_count_does_not_change_report():
         assert list(find_all_min_sets(5, 4, threads=threads)) == list(find_all_min_sets(5, 4))
 
 
+@pytest.mark.parametrize("n,k", [(5, 4), (6, 5)])
+def test_thread_count_does_not_change_listing(n, k):
+    assert list(find_all_min_sets(n, k, threads=2)) == list(find_all_min_sets(n, k, threads=1))
+
+
 def test_max_k_fallback_is_marked_non_exhaustive():
     report = min_resolving_size(5, max_k=2)
     assert not report.exhaustive
