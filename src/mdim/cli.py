@@ -135,10 +135,10 @@ def cmd_dimension(args) -> int:
 def cmd_graph_verify(args) -> int:
     t0 = time.perf_counter()
     g = load_graph(args.graph)
-    try:
-        landmarks = [int(tok) for tok in args.landmarks.split(",") if tok.strip() != ""]
-    except ValueError:
-        raise ValueError(f"landmarks must be comma-separated vertex indices, got {args.landmarks!r}") from None
+    tokens = [tok.strip() for tok in args.landmarks.split(",")]
+    if not all(tok.isascii() and tok.isdigit() for tok in tokens):
+        raise ValueError(f"landmarks must be comma-separated vertex indices, got {args.landmarks!r}")
+    landmarks = [int(tok) for tok in tokens]
     report = is_resolving_general(g, landmarks)
     inputs = {"graph": args.graph, "landmarks": landmarks}
     result = {

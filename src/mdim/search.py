@@ -24,15 +24,16 @@ for find_all_min_sets, which lists every hit, and as the reference the
 tests compare against.
 
 Candidates are built in numpy, in lexicographic order, as blocks of at
-most _CHUNK rows made as they are consumed: _combination_blocks for the
-plain scan and _column_choice_blocks for the column scan.  The kernel lays a
-block out one row per candidate and packs a candidate's distances into one
-key per vertex, in the narrowest of uint16, uint32 and uint64 that holds
-them.  A distance splits over the low and high halves of the coordinates,
-so each half's keys are one gather from small cached tables and a row of
-2^n keys is their outer sum; each row is then sorted.  Every verdict is an
-existence question and every listing keeps enumeration order, so no report
-depends on the block size.
+most _CHUNK rows made as they are consumed: _choice_blocks decodes each
+block from a run of consecutive ranks, with one cell for the plain scan
+and one per cell of equal prefix columns for the column scan.  The kernel
+lays a block out one row per candidate and packs a candidate's distances
+into one key per vertex, in the narrowest of uint16, uint32 and uint64
+that holds them.  A distance splits over the low and high halves of the
+coordinates, so each half's keys are one gather from small cached tables
+and a row of 2^n keys is their outer sum; each row is then sorted.  Every
+verdict is an existence question and every listing keeps enumeration
+order, so no report depends on the block size.
 
 Minimum sizes for n >= 6 are not literature claims; they are values this
 search computes and certifies exhaustively within its guards.
@@ -68,6 +69,7 @@ _CHUNK = 8192
 # On a 2 vCPU Xeon one n = 8 block of _CHUNK candidates took 8-10 ms in
 # tiles of 2^16 keys against 15-19 ms untiled.
 _TILE_KEYS = 1 << 16
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -140,81 +142,42 @@ def _resolving_mask(n: int, combos: np.ndarray) -> np.ndarray:
     return ~collides
 
 
-def _joined(parts: list[np.ndarray]) -> np.ndarray:
-    """The parts as one array; a lone part is passed on uncopied, since most blocks are one run of _subtrees."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+def _choice_blocks(lo: int, hi: int, sizes: list[int]) -> Iterator[np.ndarray]:
+    """Every choice of sizes[c] distinct values of range(lo, hi) for each cell c, concatenated.
 
-
-def _packed(parts: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
-    """Join consecutive blocks of at most _CHUNK rows, in order, into blocks of at most _CHUNK rows."""
-    pending: list[np.ndarray] = []
-    rows = 0
-    for part in parts:
-        if rows + len(part) > _CHUNK:
-            yield _joined(pending)
-            pending, rows = [], 0
-        if len(part):
-            pending.append(part)
-            rows += len(part)
-    if pending:
-        yield _joined(pending)
-
-
-def _all_combinations(lo: int, hi: int, k: int, first_stop: int) -> np.ndarray:
-    """Every sorted k-subset of range(lo, hi) with first element below first_stop, as one uint32 array.
-
-    Rows come in lexicographic order.  They are grown one position at a
-    time: each row is repeated once per value that can follow its last
-    element and still leave room for the rest.  Every partial row has a
-    completion, so no intermediate has more rows than the result.
+    Rows come in lexicographic order as uint32 blocks of at most _CHUNK
+    rows, each block a run of consecutive ranks decoded directly (the
+    combinatorial number system, Knuth TAOCP 4A 7.2.1.3).  A rank's cells
+    are its mixed-radix digits, the first cell most significant.  A cell's
+    lexicographic rank t among the m-subsets of range(size) is the colex
+    rank count - 1 - t of the mirrored subset (c -> size - 1 - c), decoded
+    largest member first: its j-th smallest is the largest y with C(y, j)
+    at most the rank left.  Raises ValueError when the choices outnumber
+    int64 ranks.
     """
-    rows = np.zeros((1, 0), dtype=np.uint32)
-    for j in range(k):
-        first = rows[:, -1].astype(np.int64) + 1 if j else np.full(1, lo, dtype=np.int64)
-        stop = hi - (k - 1 - j) if j else min(hi - (k - 1), first_stop)
-        counts = np.maximum(stop - first, 0)
-        offsets = np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
-        column = (np.repeat(first, counts) + offsets).astype(np.uint32)
-        rows = np.column_stack([np.repeat(rows, counts, axis=0), column])
-    return rows
-
-
-def _headed(head: tuple[int, ...], tail: np.ndarray) -> np.ndarray:
-    """tail's rows, each prefixed by head."""
-    return np.column_stack([np.broadcast_to(np.array(head, dtype=np.uint32), (len(tail), len(head))), tail])
-
-
-def _subtrees(lo: int, hi: int, k: int, head: tuple[int, ...]) -> Iterator[np.ndarray]:
-    """head followed by every sorted k-subset of range(lo, hi), in runs of sibling subtrees.
-
-    A first element whose subtree holds more than _CHUNK subsets is fixed
-    in Python and its subtree recursed into.  Subtrees shrink as the first
-    element grows, so the rest are built in numpy, consecutive siblings
-    together, at most _CHUNK rows per run.
-    """
-    if comb(max(hi - lo, 0), k) <= _CHUNK:
-        yield _headed(head, _all_combinations(lo, hi, k, hi))
-        return
-    first = lo
-    while comb(hi - first - 1, k - 1) > _CHUNK:
-        yield from _subtrees(first + 1, hi, k - 1, head + (first,))
-        first += 1
-    while first <= hi - k:
-        stop, rows = first, 0
-        while stop <= hi - k and rows + comb(hi - stop - 1, k - 1) <= _CHUNK:
-            rows += comb(hi - stop - 1, k - 1)
-            stop += 1
-        yield _headed(head, _all_combinations(first, hi, k, stop))
-        first = stop
-
-
-def _combination_blocks(lo: int, hi: int, k: int) -> Iterator[np.ndarray]:
-    """The sorted k-subsets of range(lo, hi) in lexicographic order, as uint32 blocks of at most _CHUNK rows.
-
-    No more than _CHUNK rows are built at once, so C(32, 8) = 10.5 M rows
-    at n = 8 never are.
-    """
-    return _packed(_subtrees(lo, hi, k, ()))
+    size = max(hi - lo, 0)
+    counts = [comb(size, m) for m in sizes]
+    total = prod(counts)
+    if total > _INT64_MAX:
+        raise ValueError(f"{total} choices do not fit an int64 rank")
+    # row j holds C(y, j) for y < size; every rank is below _INT64_MAX, so clipping keeps the order
+    binomials = np.array(
+        [[min(comb(y, j), _INT64_MAX) for y in range(size)] for j in range(max(sizes, default=0) + 1)],
+        dtype=np.int64,
+    )
+    for start in range(0, total, _CHUNK):
+        rest = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
+        block = np.empty((len(rest), sum(sizes)), dtype=np.uint32)
+        end = block.shape[1]
+        for m, count in zip(reversed(sizes), reversed(counts)):
+            rest, colex = np.divmod(rest, count)
+            colex = count - 1 - colex
+            for j in range(m, 0, -1):
+                y = np.searchsorted(binomials[j], colex, side="right") - 1
+                colex -= binomials[j].take(y)
+                block[:, end - j] = lo + size - 1 - y
+            end -= m
+        yield block
 
 
 def _scan_hits(n: int, size: int, normalize: bool) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -222,44 +185,12 @@ def _scan_hits(n: int, size: int, normalize: bool) -> Iterator[tuple[np.ndarray,
     if normalize:
         blocks = (
             np.column_stack([np.zeros(len(rest), dtype=np.uint32), rest])
-            for rest in _combination_blocks(1, 1 << n, size - 1)
+            for rest in _choice_blocks(1, 1 << n, [size - 1])
         )
     else:
-        blocks = _combination_blocks(0, 1 << n, size)
+        blocks = _choice_blocks(0, 1 << n, [size])
     for combos in blocks:
         yield combos, np.flatnonzero(_resolving_mask(n, combos))
-
-
-def _column_choice_blocks(sizes: list[int], r: int) -> Iterator[np.ndarray]:
-    """Every choice of sizes[c] distinct r-bit columns for each cell c, concatenated.
-
-    Rows come in lexicographic order as uint32 blocks of at most _CHUNK
-    rows: each block of the first cell's combinations times the choices
-    for the other cells.  Those are built once when they fit in one block,
-    and again for every row of the first cell when they do not.  Every
-    size must be at most 2^r.
-    """
-    if not sizes:
-        yield np.zeros((1, 0), dtype=np.uint32)
-        return
-    rest = sizes[1:]
-    heads = _combination_blocks(0, 1 << r, sizes[0])
-    if prod(comb(1 << r, m) for m in rest) <= _CHUNK:
-        (tail,) = _column_choice_blocks(rest, r)
-        step = _CHUNK // len(tail)
-        parts = (
-            np.column_stack([np.repeat(part, len(tail), axis=0), np.tile(tail, (len(part), 1))])
-            for head in heads
-            for part in np.split(head, range(step, len(head), step))
-        )
-    else:
-        parts = (
-            np.column_stack([np.broadcast_to(row, (len(tail), row.size)), tail])
-            for head in heads
-            for row in head
-            for tail in _column_choice_blocks(rest, r)
-        )
-    yield from _packed(parts)
 
 
 def _columns(n: int, prefix: tuple[int, ...]) -> list[int]:
@@ -291,7 +222,7 @@ def _extends(n: int, k: int, prefix: tuple[int, ...]) -> bool:
     coordinates = np.array([i for cell in cells.values() for i in cell], dtype=np.uint32)
     taken = np.array(prefix, dtype=np.uint32)
     lanes = np.arange(r, dtype=np.uint32)
-    for columns in _column_choice_blocks(sizes, r):
+    for columns in _choice_blocks(0, 1 << r, sizes):
         # row j of a choice has bit i set where coordinate i's column has bit j set
         rows = ((columns[:, :, None] >> lanes & 1) << coordinates[:, None]).sum(axis=1, dtype=np.uint32)
         ordered = np.sort(rows, axis=1)

@@ -194,6 +194,23 @@ def test_graph_verify_errors(tmp_path, capsys):
     assert code == 2 and "connected" in err
 
 
+@pytest.mark.parametrize("landmarks", ["1_0", "+1", "\u0661", "0,-0", "0,,2", "0,"])
+def test_graph_verify_takes_ascii_digit_landmarks_only(tmp_path, capsys, landmarks):
+    # int() would read 1_0 as 10, +1 and the Arabic-Indic one as 1, and -0 as
+    # 0; empty tokens were dropped, where verify --set refuses them
+    path = tmp_path / "p12.txt"
+    path.write_text("p 12\n" + "".join(f"{v} {v + 1}\n" for v in range(11)))
+    code, _, err = run(capsys, "graph-verify", "--graph", str(path), "--landmarks", landmarks)
+    assert code == 2 and "comma-separated vertex indices" in err
+
+
+def test_graph_verify_strips_landmark_tokens(tmp_path, capsys):
+    path = tmp_path / "p3.txt"
+    path.write_text("p 3\n0 1\n1 2\n")
+    code, record = run_record(capsys, "graph-verify", "--graph", str(path), "--landmarks", " 0 , 2 ")
+    assert code == 0 and record["inputs"]["landmarks"] == [0, 2]
+
+
 def test_printed_vertices_reparse(capsys):
     _, record = run_record(capsys, "construct", "--name", "erdos-renyi", "--n", "7")
     n = record["result"]["n"]

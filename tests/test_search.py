@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import itertools
+import tracemalloc
 from math import comb, prod
 
 import numpy as np
@@ -218,49 +219,45 @@ def test_q6_size_4_failures_spot_check():
 
 
 @pytest.mark.parametrize("chunk", [97, mdim.search._CHUNK])
-def test_combination_blocks_match_itertools(monkeypatch, chunk):
+def test_choice_blocks_match_itertools(monkeypatch, chunk):
     monkeypatch.setattr(mdim.search, "_CHUNK", chunk)
     cases = [(0, 5, 0), (3, 3, 0), (0, 5, 1), (1, 64, 1), (3, 3, 2), (5, 3, 2), (0, 4, 5), (0, 10, 10),
              (1, 64, 4), (0, 16, 8)]
     for lo, hi, k in cases:
-        blocks = list(mdim.search._combination_blocks(lo, hi, k))
+        blocks = list(mdim.search._choice_blocks(lo, hi, [k]))
         assert all(0 < len(block) <= chunk and block.shape[1] == k for block in blocks), (lo, hi, k)
         got = [tuple(row) for block in blocks for row in block.tolist()]
         assert got == list(itertools.combinations(range(lo, hi), k)), (lo, hi, k)
 
 
 @pytest.mark.parametrize("chunk", [97, mdim.search._CHUNK])
-def test_combination_blocks_build_at_most_chunk_rows(monkeypatch, chunk):
-    # sibling subtrees are built together, but no numpy build holds more than
-    # _CHUNK rows, and every row is built exactly once; C(32, 8) is the n = 8
-    # stratum, and at 97 rows, where it would take 150 K builds, C(20, 8)
-    # stands in for it
+def test_choice_blocks_bound_rows_and_memory(monkeypatch, chunk):
+    # every block holds at most _CHUNK rows, and streaming never holds much
+    # more than one: C(32, 8) is the n = 8 stratum, 336 MB if built at once,
+    # and at 97 rows, where it would take 108 K blocks, C(20, 8) stands in for it
     monkeypatch.setattr(mdim.search, "_CHUNK", chunk)
-    build = mdim.search._all_combinations
-    built = []
-
-    def spy(*args):
-        rows = build(*args)
-        built.append(len(rows))
-        return rows
-
-    monkeypatch.setattr(mdim.search, "_all_combinations", spy)
     cases = [(0, 5, 0), (3, 3, 0), (0, 5, 1), (1, 64, 1), (3, 3, 2), (5, 3, 2), (0, 4, 5), (0, 10, 10),
              (1, 64, 4), (0, 16, 8), (0, 20, 8) if chunk == 97 else (0, 32, 8)]
     for lo, hi, k in cases:
-        built.clear()
-        for _ in mdim.search._combination_blocks(lo, hi, k):
-            pass
-        assert built and max(built) <= chunk, (lo, hi, k)
-        assert sum(built) == comb(max(hi - lo, 0), k), (lo, hi, k)
+        rows = []
+        tracemalloc.start()
+        try:
+            for block in mdim.search._choice_blocks(lo, hi, [k]):
+                rows.append(len(block))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert max(rows, default=0) <= chunk, (lo, hi, k)
+        assert sum(rows) == comb(max(hi - lo, 0), k), (lo, hi, k)
+        assert peak <= 2 << 20, (lo, hi, k, peak)
 
 
-def test_combination_blocks_stream_c32_8():
+def test_choice_blocks_stream_c32_8():
     # the n = 8 stratum's 10.5 M column sets, too many to compare as tuples:
     # C(32, 8) increasing rows below 32 whose base-32 values increase are
     # exactly the 8-subsets of range(32) in lexicographic order
     rows, last = 0, -1
-    for block in mdim.search._combination_blocks(0, 32, 8):
+    for block in mdim.search._choice_blocks(0, 32, [8]):
         assert len(block) <= mdim.search._CHUNK
         assert (block[:, 1:] > block[:, :-1]).all() and (block[:, -1] < 32).all()
         keys = block.astype(np.int64) @ (32 ** np.arange(7, -1, -1, dtype=np.int64))
@@ -270,11 +267,13 @@ def test_combination_blocks_stream_c32_8():
 
 
 def test_column_choices_are_distinct_within_each_cell(monkeypatch):
-    # a cell of size m takes an m-subset of the r-bit columns, in increasing order
+    # a cell of size m takes an m-subset of the r-bit columns, in increasing
+    # order, and the choices come in the order of the product of the cells'
+    # combinations
     for chunk in (97, mdim.search._CHUNK):
         monkeypatch.setattr(mdim.search, "_CHUNK", chunk)
         for sizes, r in [([3], 2), ([1, 2], 2), ([2, 1, 1], 2), ([4], 2), ([1], 0), ([2, 3], 3), ([1, 1, 1, 1], 3)]:
-            blocks = list(mdim.search._column_choice_blocks(sizes, r))
+            blocks = list(mdim.search._choice_blocks(0, 1 << r, sizes))
             assert all(len(block) <= chunk for block in blocks)
             choices = [tuple(row) for block in blocks for row in block.tolist()]
             assert len(choices) == prod(comb(1 << r, m) for m in sizes)
@@ -287,6 +286,22 @@ def test_column_choices_are_distinct_within_each_cell(monkeypatch):
                     assert all(a < b for a, b in zip(cell, cell[1:]))
                     assert all(0 <= c < 1 << r for c in cell)
                     start += m
+            cells = [itertools.combinations(range(1 << r), m) for m in sizes]
+            assert choices == [sum(parts, ()) for parts in itertools.product(*cells)]
+
+
+@pytest.mark.parametrize("pool,k", [(63, 4), (31, 5), (20, 3), (7, 7), (15, 0)])
+def test_lex_rank_inverts_choice_blocks(pool, k):
+    # _lex_rank, which subsets_examined uses, is the inverse of the producer's unranking
+    rows = [tuple(row) for block in mdim.search._choice_blocks(1, pool + 1, [k]) for row in block.tolist()]
+    assert len(rows) == comb(pool, k)
+    assert all(mdim.search._lex_rank(row, pool) == i for i, row in enumerate(rows))
+
+
+def test_choice_blocks_refuse_ranks_past_int64():
+    # C(2048, 12) choices would wrap an int64 rank
+    with pytest.raises(ValueError):
+        next(mdim.search._choice_blocks(0, 1 << 11, [12]))
 
 
 @pytest.mark.parametrize("n", range(1, 13))
