@@ -16,12 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-# The verifier keys 3^(n/2) sign vectors per half.  The ru_maxrss rise of
-# is_resolving on one thread measured 26, 77 and 229 MiB at n = 24, 26 and 28
-# for basis_minimal_set, and 28, 77 and 229 MiB for the failing set {2..n}
-# without {5}.  Its exact confirm grows with the candidates a set's kernel
-# gives: two random members at n = 28 took 12-14 s and 1.4 GiB.  Vertices
-# also stay inside a uint32.
+# The verifier sorts 3^h + (3^(n-h) + 1)/2 keys of sign vectors, h = n // 2.
+# The ru_maxrss rise of is_resolving on one thread (2 vCPU Xeon) measured 13,
+# 39 and 117 MiB at n = 24, 26 and 28, both for basis_minimal_set and for the
+# failing set {2..n} without {5}.  Its exact confirm grows with the
+# candidates a set's kernel gives: two random members at n = 28 took 6-9 s
+# and 1.1 GiB.  Vertices also stay inside a uint32.
 DIMENSION_CAP = 28
 
 Vertex = int

@@ -9,15 +9,20 @@ detecting-matrix view of Lindstrom and of Sebo-Tannier).
 
 The verdict decides that by meet in the middle (Horowitz-Sahni): with
 fixed odd weights w_j, coordinate i gets the 64-bit key
-c_i = sum_j w_j b_{j,i} mod 2^64, and x gets the key c . x.  The keys of
-the 3^(n/2) sign vectors of each half of the coordinates are built and
-sorted together, and a left key equal to a negated right key marks a
-candidate x.  Every kernel vector is a candidate; every candidate is
-confirmed exactly against the sign matrix, so a key collision never
-changes a verdict.  The set resolves when x = 0 is the only confirmed one.
+c_i = sum_j w_j b_{j,i} mod 2^64, and x gets the key c . x.  Write
+x = (y, z) for its halves of the coordinates; a left key c . y equal to a
+negated right key -c . z marks a candidate x.  x and -x are kernel
+vectors together and have negated keys, so the verdict keys all 3^(n/2)
+y but only the (3^(n/2) + 1)/2 z that are 0 or whose highest nonzero
+entry is +1, in one buffer sorted once; the matches of the other z are
+the negatives of those found.  Every kernel vector is a candidate; every
+candidate is confirmed exactly against the sign matrix, so a key
+collision never changes a verdict.  The set resolves when x = 0 is the
+only candidate.
 
-A failing set's witness, the smallest colliding pair (u, v) with u < v,
-comes from the same confirmed candidates.  It has u & v = 0, since
+A failing set keys both halves in full again, and its witness, the
+smallest colliding pair (u, v) with u < v, comes from the confirmed
+candidates among them.  It has u & v = 0, since
 dropping the ones two colliding vertices share keeps them colliding and
 lowers u; so it is the least (pos x, neg x) over the nonzero kernel
 vectors x, where pos x and neg x are the vertices of x's ones and minus
@@ -68,21 +73,64 @@ def _multipliers(k: int) -> np.ndarray:
     return (z ^ (z >> np.uint64(31))) | np.uint64(1)
 
 
+def _spread(keys: np.ndarray, size: int, c: np.uint64) -> None:
+    """Extend the first size keys in place to 3 size: themselves, then plus c, then minus c."""
+    np.add(keys[:size], c, out=keys[size:2 * size])
+    np.subtract(keys[:size], c, out=keys[2 * size:3 * size])
+
+
 def _half_keys(coeffs: np.ndarray) -> np.ndarray:
     """Keys coeffs . x of all 3^len(coeffs) sign vectors x, wrapping mod 2^64.
 
     Entry sum_t d_t 3^t belongs to the x with x_t = 0, +1, -1 for d_t = 0, 1, 2.
     """
-    keys = np.zeros(1, dtype=np.uint64)
-    for c in coeffs:
-        keys = np.concatenate([keys, keys + c, keys - c])
+    keys = np.zeros(3 ** len(coeffs), dtype=np.uint64)
+    for t, c in enumerate(coeffs):
+        _spread(keys, 3**t, c)
     return keys
 
 
+def _verdict_keys(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The keys of one verdict in one buffer: _half_keys(left), then half the right keys.
+
+    The right part holds _half_keys(right) + 1 at z = 0 and then at each z
+    whose highest nonzero entry is +1, in index order: (3^m + 1)/2 keys for
+    m = len(right), tagged in the lowest bit, which even coefficients leave
+    clear.  The keys of the z whose highest nonzero entry is entry t are
+    those of all sign vectors of the entries below t, plus right[t].  Those
+    3^t keys are spread as scratch in the left part, which holds them while
+    m <= len(left) + 1, before the left keys overwrite it.
+    """
+    h, m = len(left), len(right)
+    keys = np.empty(3**h + (3**m + 1) // 2, dtype=np.uint64)
+    tagged = keys[3**h:]
+    keys[0] = tagged[0] = 1
+    for t, c in enumerate(right):
+        size = 3**t
+        np.add(keys[:size], c, out=tagged[(size + 1) // 2:(3 * size + 1) // 2])
+        if t + 1 < m:
+            _spread(keys, size, c)
+    keys[0] = 0
+    for t, c in enumerate(left):
+        _spread(keys, 3**t, c)
+    return keys
+
+
+_DIGITS = 7
+# row d: the sign vector of the _half_keys entry d of a half of _DIGITS coordinates
+_SIGN_ROWS = np.array([0, 1, -1], dtype=np.int8)[np.indices((3,) * _DIGITS, dtype=np.int8).T.reshape(-1, _DIGITS)]
+
+
 def _sign_vectors(index: np.ndarray, length: int) -> np.ndarray:
-    """Rows x for the _half_keys entries ``index`` of a half of that length."""
-    digits = index[:, None] // 3 ** np.arange(length) % 3
-    return np.where(digits == 2, -1, digits).astype(np.int8)
+    """Rows x for the _half_keys entries ``index`` of a half of that length.
+
+    The digits are peeled _DIGITS at a time and looked up in _SIGN_ROWS.
+    """
+    x = np.empty((index.size, length), dtype=np.int8)
+    for t in range(0, length, _DIGITS):
+        index, low = np.divmod(index, 3**_DIGITS)
+        x[:, t:t + _DIGITS] = _SIGN_ROWS[low, :length - t]
+    return x
 
 
 def _ranks(x: np.ndarray, shift: int, n: int) -> np.ndarray:
@@ -130,29 +178,51 @@ def _kernel_witness(signs: np.ndarray, left: np.ndarray, right: np.ndarray) -> t
     return rank >> n, rank & ((1 << n) - 1)
 
 
+def _matched_keys(left: np.ndarray, right: np.ndarray) -> np.ndarray | None:
+    """The keys a left key shares with a right key, sorted; None when only x = 0 matches.
+
+    One sort of _verdict_keys(left, right): a left key followed by itself
+    plus one is a candidate match.  x = 0 always matches, and the set
+    resolves when it is the only candidate: a single left key 0, a single
+    right key 0 and no other match.  Keying only the z that are 0 or whose
+    highest nonzero entry is +1 loses nothing.  (y, z) matches at key k
+    exactly when (-y, -z) matches at -k, and for z != 0 one of z, -z is
+    keyed; so the matches of the whole right half are the ones found and
+    their negatives.  A nonzero y with z = 0 still shows as a second left
+    key 0, and a nonzero z with key 0 as a second right key 0, from z or -z.
+    """
+    keys = _verdict_keys(left, right)
+    keys.sort()
+    step = np.flatnonzero(np.diff(keys) == 1)
+    matched = keys[step[(keys[step] & np.uint64(1)) == 0]]
+    if matched.size == 1 and keys[1] == 1 and keys[2] != 1:
+        return None
+    # the union of matched and -matched; np.union1d would import numpy.ma on
+    # its first call, about 17 ms of a one-shot CLI verify
+    matched = np.concatenate([matched, -matched])
+    matched.sort()
+    return matched[np.concatenate([[True], matched[1:] != matched[:-1]])]
+
+
 def _witness(n: int, members) -> tuple[int, int] | None:
     """The smallest colliding pair (u, v), u < v, or None when the members resolve Q^n.
 
-    Keys are doubled so that the lowest bit can tag the right half's keys:
-    after one sort of both halves, a left key followed by itself plus one
-    is a candidate match.  x = 0 always matches.  When it is the only
-    candidate the set resolves; otherwise the candidates are confirmed
-    exactly and the witness taken from the kernel vectors among them.
+    Keys are doubled so that the lowest bit can tag the right half's keys,
+    and the right half is keyed negated, so a match is left == right.  A
+    resolving set returns after the one sort of _matched_keys, which keys
+    only one of each pair x, -x with z != 0.  Otherwise the full halves are
+    keyed again, the candidates whose keys match are confirmed exactly, and
+    the witness is taken from the kernel vectors among them.
     """
     bits = np.array(members, dtype=np.uint32)[:, None] >> np.arange(n, dtype=np.uint32) & 1
     signs = 1 - 2 * bits.T.astype(np.int8)
     weights = _multipliers(len(members))
     coeffs = np.where(bits.T == 1, -weights, weights).sum(axis=1, dtype=np.uint64) << np.uint64(1)
     h = n // 2
-    left = _half_keys(coeffs[:h])
-    right = _half_keys(-coeffs[h:])  # the negated keys: a match is left == right
-    merged = np.concatenate([left, right])
-    merged[left.size:] |= np.uint64(1)
-    merged.sort()
-    step = np.flatnonzero(np.diff(merged) == 1)
-    matched = merged[step[(merged[step] & np.uint64(1)) == 0]]
-    if matched.size == 1 and merged[1] == 1 and merged[2] != 1:
-        return None  # a single left key 0, a single right key 0 and no other match
+    matched = _matched_keys(coeffs[:h], -coeffs[h:])
+    if matched is None:
+        return None
+    left, right = _half_keys(coeffs[:h]), _half_keys(-coeffs[h:])
 
     def in_matched(keys: np.ndarray) -> np.ndarray:
         # Positions of the keys found in matched.  np.isin's rule picks the

@@ -149,7 +149,7 @@ def test_resolves_matches_bfs_oracle():
 
 
 def test_paper_sets_beyond_the_vertex_key_reach():
-    # a key per vertex would take 0.5-2 GiB here; the verifier keys 3^13-3^14 sign vectors per half
+    # a key per vertex would take 0.5-2 GiB here; the verifier sorts 3^13 + (3^13 + 1)/2 sign-vector keys
     for build in (basis_minimal_set, reduced_erdos_renyi_set):
         report = is_resolving(build(26))
         assert (report.resolving, report.witness, report.vertices_checked) == (True, None, 1 << 26)
@@ -237,6 +237,84 @@ def test_confirm_path_two_blocks_witness_independent_of_threads(weights, monkeyp
     for threads in (1, 2):
         report = is_resolving(S, threads=threads)
         assert (report.resolving, report.witness) == (False, (1, 2)), threads
+
+
+def test_verdict_keys_hold_the_left_keys_then_half_the_right_keys():
+    rng = np.random.default_rng(37)
+    for m in range(8):
+        for h in {max(m - 1, 0), m}:
+            left, right = (rng.integers(0, 1 << 62, size, dtype=np.uint64) << np.uint64(1) for size in (h, m))
+            keys = mdim.resolve._verdict_keys(left, right)
+            assert keys.size == 3**h + (3**m + 1) // 2, (h, m)
+            assert np.array_equal(keys[:3**h], mdim.resolve._half_keys(left))
+            # z = 0, then every z whose highest nonzero digit is 1 (+1), in index order
+            kept = [d for d in range(3**m) if d == 0 or d // 3 ** (len(np.base_repr(d, 3)) - 1) == 1]
+            assert np.array_equal(keys[3**h:], mdim.resolve._half_keys(right)[kept] + np.uint64(1)), (h, m)
+
+
+def test_sign_vectors_match_the_digit_formula():
+    def formula(index, length):
+        digits = index[:, None] // 3 ** np.arange(length) % 3
+        return np.where(digits == 2, -1, digits).astype(np.int8)
+
+    for length in range(9):
+        index = np.arange(3**length)
+        got = mdim.resolve._sign_vectors(index, length)
+        assert got.dtype == np.int8 and np.array_equal(got, formula(index, length)), length
+    index = np.random.default_rng(14).integers(0, 3**14, 50_000)
+    assert np.array_equal(mdim.resolve._sign_vectors(index, 14), formula(index, 14))
+
+
+def sign_edge_sets(rng, n):
+    """Failing sets whose kernel is exactly 0 and +-x, with x supported on coordinates i and j.
+
+    phi and every singleton but {i} and {j} leave x = {i} - {j}; extra
+    members with equal bits i and j keep it, and a translation flips its
+    signs.  i, j both in the low half give z = 0, both in the high half
+    y = 0, and one in each a kernel spanning both halves.
+    """
+    h = n // 2
+    pairs = {}
+    if h >= 2:
+        pairs["z = 0"] = [(1, 2)] + [tuple(rng.sample(range(1, h + 1), 2)) for _ in range(3)]
+    if n - h >= 2:
+        pairs["y = 0"] = [(n - 1, n)] + [tuple(rng.sample(range(h + 1, n + 1), 2)) for _ in range(3)]
+    pairs["both"] = [(h, h + 1)] + [(rng.randint(1, h), rng.randint(h + 1, n)) for _ in range(3)]
+    for kind, choices in pairs.items():
+        for first, (i, j) in enumerate(choices):
+            members = {0} | {singleton(c) for c in range(1, n + 1) if c not in (i, j)}
+            t = 0
+            if first:  # the first pair is kept plain: the top two coordinates unused for y = 0
+                for _ in range(rng.randint(0, 3)):
+                    v = rng.getrandbits(n)
+                    if (v >> (i - 1) ^ v >> (j - 1)) & 1 == 0:
+                        members.add(v)
+                t = rng.getrandbits(n)
+            yield kind, (i, j), tuple(sorted(s ^ t for s in members))
+
+
+def check_sign_edge_sets(seed):
+    rng = Random(seed)
+    kinds = set()
+    for n in range(2, 13):
+        for kind, (i, j), members in sign_edge_sets(rng, n):
+            expected = naive_is_resolving(n, members)
+            u, v = expected[1]
+            assert u | v == singleton(i) | singleton(j), (n, kind, members)  # x is supported on i and j
+            assert mdim.resolve._witness(n, members) == expected[1], (n, kind, members)
+            got = is_resolving(Landmarks(n, members))
+            assert (got.resolving, got.witness) == expected, (n, kind, members)
+            kinds.add((kind, n % 2))
+    assert len(kinds) == 6  # each kind at odd and at even n
+
+
+def test_sign_edge_cases_match_bruteforce():
+    check_sign_edge_sets(4242)
+
+
+def test_sign_edge_cases_match_bruteforce_with_colliding_weights(colliding_weights):
+    check_sign_edge_sets(2424)
+    assert len(colliding_weights) > 100
 
 
 def test_full_vertex_set_resolves():
