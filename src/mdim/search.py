@@ -27,13 +27,14 @@ Candidates are built in numpy, in lexicographic order, as blocks of at
 most _CHUNK rows made as they are consumed: _choice_blocks decodes each
 block from a run of consecutive ranks, with one cell for the plain scan
 and one per cell of equal prefix columns for the column scan.  The kernel
-lays a block out one row per candidate and packs a candidate's distances
-into one key per vertex, in the narrowest of uint16, uint32 and uint64
-that holds them.  A distance splits over the low and high halves of the
-coordinates, so each half's keys are one gather from small cached tables
-and a row of 2^n keys is their outer sum; each row is then sorted.  Every
-verdict is an existence question and every listing keeps enumeration
-order, so no report depends on the block size.
+decides a candidate without its 2^n distance vectors, by the
+detecting-matrix criterion the verifier uses: with phi in the set, it
+fails iff some nonzero sum-zero x in {-1,0,1}^n also sums to 0 on the
+ones of every other member.  A cached table holds one bit per such x up to
+sign for every vertex, (A002426(n) - 1) / 2 bits (70 at n = 6, 1,569 at
+n = 9, 36,894 at n = 12), so a candidate costs r ANDs of a few uint64
+words.  Every verdict is an existence question and every listing keeps
+enumeration order, so no report depends on the block size.
 
 Minimum sizes for n >= 6 are not literature claims; they are values this
 search computes and certifies exhaustively within its guards.
@@ -51,24 +52,25 @@ import numpy as np
 
 from .construct import best_construction
 from .core import Landmarks, check_dimension
-from .resolve import is_resolving
+from .resolve import _sign_vectors, is_resolving
 
 # Default cost guard; --force overrides it up to FORCED_CAP.  Under the
-# default, `dimension --n 8` takes 0.4-0.5 s at 34 MiB peak RSS.  Above it
+# default, `dimension --n 8` takes 0.43-0.48 s at 34 MiB peak RSS.  Above it
 # time bounds the search: a stratum with no hit scans all of its
-# C(2^(k-1), n) column sets (C(32, 9) = 28 M at n = 9, k = 6), and the kernel
-# took 15-22 ms for one block of _CHUNK candidates at n = 9, k = 6 and
-# 0.15-0.20 s at n = 12, k = 7, with one block in flight;
-# `dimension --n 9 --force` took 111-114 s at 37 MiB peak RSS (measured on a
-# 2 vCPU Xeon).
+# C(2^(k-1), n) column sets (C(32, 9) = 28 M at n = 9, k = 6).  The kernel
+# took 1.2-1.4 ms for one block of _CHUNK candidates at n = 9, k = 6 (34 MiB
+# peak RSS) and 19-22 ms at n = 12, k = 7 (54 MiB, 18.5 of it the table);
+# `dimension --n 9 --force` took 45-47 s at 36 MiB (on a 2 vCPU Xeon).
 EXHAUSTIVE_CAP = 8
 FORCED_CAP = 12
 
 _CHUNK = 8192
-# Keys per kernel tile: small enough for a tile's buffers to stay in cache.
-# On a 2 vCPU Xeon one n = 8 block of _CHUNK candidates took 8-10 ms in
-# tiles of 2^16 keys against 15-19 ms untiled.
-_TILE_KEYS = 1 << 16
+# Table words per kernel tile: one n = 12 block of _CHUNK random candidates
+# took 32-36 ms in tiles of 2^14-2^16 words, 55-70 ms at 2^12 or 2^18.  Sign
+# vectors per step of the table build: the n = 12 build peaked at 51 MiB RSS
+# in steps of 2^8, 83 MiB in steps of 2^12 (on a 2 vCPU Xeon).
+_TILE_WORDS = 1 << 16
+_TABLE_COLUMNS = 1 << 8
 _INT64_MAX = np.iinfo(np.int64).max
 
 
@@ -91,55 +93,52 @@ class SearchReport:
 
 
 @lru_cache(maxsize=None)
-def _half_tables(bits: int, b: int, r: int, key_dtype: type) -> np.ndarray:
-    """Row j * 2^bits + s holds popcount(s ^ v) << (b * j) for every bits-bit v."""
-    half = np.arange(1 << bits, dtype=np.uint8)
-    distance = np.bitwise_count(half[:, None] ^ half).astype(key_dtype)
-    tables = np.concatenate([distance << (b * j) for j in range(r)])
-    tables.setflags(write=False)
-    return tables
+def _zero_masks(n: int) -> np.ndarray:
+    """Row s, bit j: the sign vector x_j sums to 0 on the ones of s.
+
+    The x_j are the nonzero sum-zero x in {-1,0,1}^n whose highest nonzero
+    entry is +1.  Their sums over every s are built by doubling, one
+    coordinate at a time, _TABLE_COLUMNS vectors at once; each row is
+    packed into uint64 words, bit j in word j // 64, padding bits clear.
+    """
+    index = np.concatenate([np.arange(3**t, 2 * 3**t, dtype=np.int64) for t in range(n)])
+    x = _sign_vectors(index, n)
+    x = x[x.sum(axis=1) == 0]
+    table = np.zeros((1 << n, -(-len(x) // 64) * 8), dtype=np.uint8)
+    sums = np.zeros((1 << n, _TABLE_COLUMNS), dtype=np.int8)
+    for lo in range(0, len(x), _TABLE_COLUMNS):
+        part = x[lo:lo + _TABLE_COLUMNS]
+        rows = sums[:, :len(part)]
+        for i in range(n):
+            np.add(rows[:1 << i], part[:, i], out=rows[1 << i:2 << i])
+        table[:, lo // 8:(lo + len(part) + 7) // 8] = np.packbits(rows == 0, axis=1, bitorder="little")
+    table = table.view(np.uint64)
+    table.setflags(write=False)
+    return table
 
 
 def _resolving_mask(n: int, combos: np.ndarray) -> np.ndarray:
-    """Which candidates (rows of combos) have all-distinct distance vectors.
+    """Which candidates (rows of combos) resolve Q^n.
 
-    Entry j of every candidate's vector is d(v, combos[:, j]) over all
-    vertices v.  The entries are packed b bits each into one key per
-    candidate and vertex, in the narrowest unsigned dtype that holds r * b
-    bits, laid out one row per candidate and sorted along the rows: a
-    candidate resolves iff its sorted row has no equal neighbours.
-
-    Split every vertex into its low h = ceil(n/2) bits and its high n - h:
-    d(v, s) = d(v_lo, s_lo) + d(v_hi, s_hi).  Each half's packed keys are
-    one gather from the cached _half_tables and a sum over the r members,
-    and a row of 2^n keys is the outer sum of the high and low keys.  No
-    field carries, since every entry is at most n < 2^b.  Rows go through
-    in tiles of about _TILE_KEYS keys.
+    S resolves iff no nonzero x in {-1,0,1}^n has b_s . x = 0 for every s
+    in S, b_s = 1 - 2s (Lindstrom; Sebo-Tannier).  With phi in S,
+    b_phi . x = sum x, and a sum-zero x has b_s . x = 0 iff it sums to 0 on
+    the ones of s: S fails iff the AND of its members' _zero_masks rows is
+    nonzero.  Translating a candidate by its first member, an automorphism,
+    makes that member phi, whose row holds every x_j; the AND starts there,
+    so a Q^1 candidate, with no x_j, resolves.  Tiles hold ~_TILE_WORDS words.
     """
-    m, r = combos.shape
-    b = n.bit_length()
-    if r * b > 62:
-        raise ValueError("candidate too large to pack for the batch engine")
-    key_dtype = np.uint16 if r * b <= 16 else np.uint32 if r * b <= 32 else np.uint64
-    h = (n + 1) // 2
-    low_tables = _half_tables(h, b, r, key_dtype)
-    high_tables = _half_tables(n - h, b, r, key_dtype)
-    lanes = np.arange(r, dtype=np.intp)[:, None]
-    low_lanes, high_lanes = lanes << h, lanes << (n - h)
-    tile = max(1, _TILE_KEYS >> n)
-    collides = np.empty(m, dtype=bool)
-    for lo in range(0, m, tile):
-        part = combos[lo:lo + tile].T
-        low = low_tables.take((part & ((1 << h) - 1)) + low_lanes, axis=0).sum(axis=0, dtype=key_dtype)
-        high = high_tables.take((part >> h) + high_lanes, axis=0).sum(axis=0, dtype=key_dtype)
-        # the outer sum high[:, :, None] + low[:, None, :], as two repeats and one
-        # contiguous add: a broadcast add loops 2^h keys at a time
-        key = np.repeat(high[:, :, None], 1 << h, axis=2)
-        key += np.repeat(low[:, None, :], 1 << (n - h), axis=1)
-        key = key.reshape(len(key), -1)
-        key.sort(axis=1)
-        np.any(key[:, 1:] == key[:, :-1], axis=1, out=collides[lo:lo + len(key)])
-    return ~collides
+    table = _zero_masks(n)
+    tile = max(1, _TILE_WORDS // max(table.shape[1], 1))
+    resolves = np.empty(len(combos), dtype=bool)
+    for lo in range(0, len(combos), tile):
+        members = (combos[lo:lo + tile] ^ combos[lo:lo + tile, :1]).T.astype(np.intp)
+        zero = table.take(members[0], axis=0)
+        for row in members[1:]:
+            zero &= table.take(row, axis=0)
+        # an OR over each row's words: np.any reduces short rows slower
+        np.equal(np.bitwise_or.reduce(zero, axis=1), 0, out=resolves[lo:lo + members.shape[1]])
+    return resolves
 
 
 def _choice_blocks(lo: int, hi: int, sizes: list[int]) -> Iterator[np.ndarray]:

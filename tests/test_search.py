@@ -11,6 +11,7 @@ import mdim.search
 from helpers import naive_all_resolving, naive_is_resolving, naive_min_size
 from mdim.construct import best_construction
 from mdim.core import Landmarks
+from mdim.graphs import build_hypercube, is_resolving_general
 from mdim.resolve import is_minimal, is_resolving
 from mdim.search import find_all_min_sets, min_resolving_size, verify_no_smaller
 
@@ -307,22 +308,80 @@ def test_choice_blocks_refuse_ranks_past_int64():
 @pytest.mark.parametrize("n", range(1, 13))
 def test_resolving_mask_matches_naive(monkeypatch, n):
     # the kernel against the dict-of-vectors oracle, which shares none of its
-    # machinery; sizes cover keys of 16, 32 and 64 bits and r = 1, blocks
+    # machinery; sizes cover r = 1 and r = n, and r from 62 // b + 1 on, which
+    # a kernel packing b-bit distances into one int64 key could not hold; blocks
     # have one row or repeated rows, and tiles of 5 rows reuse their buffers
     rng = np.random.default_rng(1000 + n)
     b = n.bit_length()
-    sizes = sorted({1, 2, n, 16 // b, 32 // b, 32 // b + 1, 62 // b} & set(range(1, 62 // b + 1)))
-    for r in sizes:
+    words = mdim.search._zero_masks(n).shape[1]
+    for r in sorted({1, 2, n, 62 // b, 62 // b + 1, 62 // b + 4}):
         for m in (1, 24):
             combos = rng.integers(0, 1 << n, size=(m, r), dtype=np.uint32)
             combos[m // 2:] = combos[:m - m // 2]
             expected = [naive_is_resolving(n, tuple(row))[0] for row in combos.tolist()]
             assert mdim.search._resolving_mask(n, combos).tolist() == expected, (n, r, m)
             with monkeypatch.context() as patch:
-                patch.setattr(mdim.search, "_TILE_KEYS", 5 << n)
+                patch.setattr(mdim.search, "_TILE_WORDS", 5 * words)
                 assert mdim.search._resolving_mask(n, combos).tolist() == expected, (n, r, m, "tiles of 5")
-    with pytest.raises(ValueError):
-        mdim.search._resolving_mask(n, np.zeros((1, 62 // b + 1), dtype=np.uint32))
+
+
+def test_zero_masks_hold_the_sum_zero_sign_vectors():
+    # one bit per nonzero sum-zero x in {-1,0,1}^n up to sign: (A002426(n) - 1) / 2
+    # of them, A002426 the central trinomial coefficients; phi's row holds them all,
+    # and the padding bits past them are clear in every row
+    counts = []
+    for n in range(1, 13):
+        table = mdim.search._zero_masks(n)
+        trinomial = sum(comb(n, 2 * i) * comb(2 * i, i) for i in range(n // 2 + 1))
+        count = (trinomial - 1) // 2
+        bits = np.unpackbits(table.view(np.uint8), axis=1, bitorder="little")
+        assert table.shape == (1 << n, -(-count // 64)) and table.dtype == np.uint64, n
+        assert bits[0, :count].all() and not bits[:, count:].any(), n
+        counts.append(int(bits[0].sum()))
+    assert counts == [0, 1, 3, 9, 25, 70, 196, 553, 1569, 4476, 12826, 36894]
+    # row s counts the x (up to sign) that also sum to 0 on the ones of s
+    for n in range(1, 6):
+        table = mdim.search._zero_masks(n)
+        vectors = [x for x in itertools.product((-1, 0, 1), repeat=n) if any(x) and sum(x) == 0]
+        for s in range(1 << n):
+            zero = sum(1 for x in vectors if sum(x[i] for i in range(n) if s >> i & 1) == 0)
+            assert int(np.bitwise_count(table[s]).sum()) == zero // 2, (n, s)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_one_vertex_rows_resolve_only_q1(n):
+    # phi, or any vertex, repeated: one distinct member, which resolves Q^n only at
+    # n = 1; an accumulator started from all-ones would refuse it there
+    combos = np.zeros((3, 4), dtype=np.uint32)
+    combos[1] = (1 << n) - 1
+    combos[2] = 1 << (n - 1)
+    for r in (1, 2, 4):
+        assert mdim.search._resolving_mask(n, combos[:, :r]).tolist() == [n == 1] * 3, (n, r)
+
+
+def test_resolving_mask_at_the_q8_boundary(monkeypatch):
+    # the block of rows in which _extends(8, 6, (0,)) finds its first hit, where
+    # both verdicts occur (random rows at large n nearly all resolve), against the
+    # verifier row by row and against the BFS oracle on a sample
+    seen = []
+    kernel = mdim.search._resolving_mask
+
+    def spy(n, combos):
+        mask = kernel(n, combos)
+        seen.append((combos.copy(), mask))
+        return mask
+
+    monkeypatch.setattr(mdim.search, "_resolving_mask", spy)
+    assert mdim.search._extends(8, 6, (0,))
+    combos, mask = seen[-1]
+    assert len(seen) > 1 and 0 < mask.sum() < len(mask)
+    rows = combos.tolist()
+    assert mask.tolist() == [is_resolving(Landmarks(8, row)).resolving for row in rows]
+    g = build_hypercube(8)
+    rng = np.random.default_rng(8)
+    sample = np.concatenate([rng.choice(np.flatnonzero(mask), 20), rng.choice(np.flatnonzero(~mask), 20)])
+    for i in sample.tolist():
+        assert is_resolving_general(g, rows[i]).resolving == mask[i], rows[i]
 
 
 def test_first_hit_skips_prefixes_equal_up_to_permutation(monkeypatch):
