@@ -20,8 +20,8 @@ from typing import Iterator
 # The ru_maxrss rise of is_resolving on one thread (2 vCPU Xeon) measured 13,
 # 39 and 117 MiB at n = 24, 26 and 28, both for basis_minimal_set and for the
 # failing set {2..n} without {5}.  Its exact confirm grows with the
-# candidates a set's kernel gives: two random members at n = 28 took 6-9 s
-# and 1.1 GiB.  Vertices also stay inside a uint32.
+# candidates a set's kernel gives: two random members at n = 28 took
+# 4.0-4.8 s and 1.0-1.1 GiB.  Vertices also stay inside a uint32.
 DIMENSION_CAP = 28
 
 Vertex = int

@@ -8,27 +8,27 @@ when no nonzero x in {-1,0,1}^n has b_s . x = 0 for every s in S (the
 detecting-matrix view of Lindstrom and of Sebo-Tannier).
 
 The verdict decides that by meet in the middle (Horowitz-Sahni): with
-fixed odd weights w_j, coordinate i gets the 64-bit key
-c_i = sum_j w_j b_{j,i} mod 2^64, and x gets the key c . x.  Write
-x = (y, z) for its halves of the coordinates; a left key c . y equal to a
-negated right key -c . z marks a candidate x.  x and -x are kernel
-vectors together and have negated keys, so the verdict keys all 3^(n/2)
+fixed odd weights w_j, coordinate i gets the 64-bit coefficient
+c_i = sum_j w_j b_{j,i} mod 2^64, and x gets the hash c . x.  Write
+x = (y, z) for its halves of the coordinates; a left hash c . y equal to a
+negated right hash -c . z marks a candidate x.  x and -x are kernel
+vectors together and have negated hashes, so the verdict keys all 3^(n/2)
 y but only the (3^(n/2) + 1)/2 z that are 0 or whose highest nonzero
 entry is +1, in one buffer sorted once; the matches of the other z are
-the negatives of those found.  Every kernel vector is a candidate; every
-candidate is confirmed exactly against the sign matrix, so a key
-collision never changes a verdict.  The set resolves when x = 0 is the
-only candidate.
+the negatives of those found.  Each key carries its sign vector's index
+in its low bits, so that sort also locates the candidates.  Every kernel
+vector is a candidate or the negative of one; every candidate is
+confirmed exactly against the sign matrix, so a hash collision never
+changes a verdict.  The set resolves when x = 0 is the only candidate.
 
-A failing set keys both halves in full again, and its witness, the
-smallest colliding pair (u, v) with u < v, comes from the confirmed
-candidates among them.  It has u & v = 0, since
+A failing set's witness, the smallest colliding pair (u, v) with u < v,
+comes from the confirmed candidates.  It has u & v = 0, since
 dropping the ones two colliding vertices share keeps them colliding and
 lowers u; so it is the least (pos x, neg x) over the nonzero kernel
 vectors x, where pos x and neg x are the vertices of x's ones and minus
-ones.  _kernel_witness finds that least pair in one pass over the
-candidates, without pairing any left half with any right half, so a
-large kernel costs no more than its candidates.
+ones, and (neg x, pos x) is the pair of -x.  _kernel_witness finds that
+least pair in one pass over the candidates, without pairing any left half
+with any right half, so a large kernel costs no more than its candidates.
 """
 
 from __future__ import annotations
@@ -73,56 +73,58 @@ def _multipliers(k: int) -> np.ndarray:
     return (z ^ (z >> np.uint64(31))) | np.uint64(1)
 
 
-def _spread(keys: np.ndarray, size: int, c: np.uint64) -> None:
-    """Extend the first size keys in place to 3 size: themselves, then plus c, then minus c."""
-    np.add(keys[:size], c, out=keys[size:2 * size])
-    np.subtract(keys[:size], c, out=keys[2 * size:3 * size])
+def _steps(coeffs: np.ndarray) -> zip:
+    """(c + 3^t, 2 3^t - c) mod 2^64 for each coefficient c = coeffs[t], as uint64 scalars.
 
-
-def _half_keys(coeffs: np.ndarray) -> np.ndarray:
-    """Keys coeffs . x of all 3^len(coeffs) sign vectors x, wrapping mod 2^64.
-
-    Entry sum_t d_t 3^t belongs to the x with x_t = 0, +1, -1 for d_t = 0, 1, 2.
+    They are what x_t = +1 and x_t = -1 add to a key: the powers of 3
+    write digit t, 1 or 2, into the index carried in the key's low bits.
     """
-    keys = np.zeros(3 ** len(coeffs), dtype=np.uint64)
-    for t, c in enumerate(coeffs):
-        _spread(keys, 3**t, c)
-    return keys
+    power = np.uint64(3) ** np.arange(len(coeffs), dtype=np.uint64)
+    return zip(coeffs + power, 2 * power - coeffs)
 
 
-def _verdict_keys(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """The keys of one verdict in one buffer: _half_keys(left), then half the right keys.
+def _spread(keys: np.ndarray, size: int, plus: np.uint64, minus: np.uint64) -> None:
+    """Extend the first size keys in place to 3 size: themselves, then plus plus, then plus minus."""
+    np.add(keys[:size], plus, out=keys[size:2 * size])
+    np.add(keys[:size], minus, out=keys[2 * size:3 * size])
 
-    The right part holds _half_keys(right) + 1 at z = 0 and then at each z
-    whose highest nonzero entry is +1, in index order: (3^m + 1)/2 keys for
-    m = len(right), tagged in the lowest bit, which even coefficients leave
-    clear.  The keys of the z whose highest nonzero entry is entry t are
-    those of all sign vectors of the entries below t, plus right[t].  Those
-    3^t keys are spread as scratch in the left part, which holds them while
+
+def _verdict_keys(left: np.ndarray, right: np.ndarray, side: int) -> np.ndarray:
+    """The keys of one verdict in one buffer: all left keys, then half the right keys.
+
+    ``left`` and ``right`` are the halves' coefficients, shifted clear of
+    the tags.  The left part holds left . y + i for every sign vector y, in
+    index order; the right part holds right . z + side + i at z = 0 and
+    then at each z whose highest nonzero entry is +1, in index order:
+    (3^m + 1)/2 keys for m = len(right).  Index i = sum_t d_t 3^t belongs
+    to the x with x_t = 0, +1, -1 for d_t = 0, 1, 2.  The keys of the z
+    whose highest nonzero entry is entry t are those of all sign vectors of
+    the entries below t, plus right[t] + 3^t.  Those 3^t keys, plus side,
+    are spread as scratch in the left part, which holds them while
     m <= len(left) + 1, before the left keys overwrite it.
     """
     h, m = len(left), len(right)
     keys = np.empty(3**h + (3**m + 1) // 2, dtype=np.uint64)
     tagged = keys[3**h:]
-    keys[0] = tagged[0] = 1
-    for t, c in enumerate(right):
+    keys[0] = tagged[0] = side
+    for t, (plus, minus) in enumerate(_steps(right)):
         size = 3**t
-        np.add(keys[:size], c, out=tagged[(size + 1) // 2:(3 * size + 1) // 2])
+        np.add(keys[:size], plus, out=tagged[(size + 1) // 2:(3 * size + 1) // 2])
         if t + 1 < m:
-            _spread(keys, size, c)
+            _spread(keys, size, plus, minus)
     keys[0] = 0
-    for t, c in enumerate(left):
-        _spread(keys, 3**t, c)
+    for t, steps in enumerate(_steps(left)):
+        _spread(keys, 3**t, *steps)
     return keys
 
 
 _DIGITS = 7
-# row d: the sign vector of the _half_keys entry d of a half of _DIGITS coordinates
+# row d: the sign vector of index d of a half of _DIGITS coordinates
 _SIGN_ROWS = np.array([0, 1, -1], dtype=np.int8)[np.indices((3,) * _DIGITS, dtype=np.int8).T.reshape(-1, _DIGITS)]
 
 
 def _sign_vectors(index: np.ndarray, length: int) -> np.ndarray:
-    """Rows x for the _half_keys entries ``index`` of a half of that length.
+    """Rows x for the indices sum_t d_t 3^t of a half of that length: x_t = 0, +1, -1 for d_t = 0, 1, 2.
 
     The digits are peeled _DIGITS at a time and looked up in _SIGN_ROWS.
     """
@@ -133,29 +135,32 @@ def _sign_vectors(index: np.ndarray, length: int) -> np.ndarray:
     return x
 
 
-def _ranks(x: np.ndarray, shift: int, n: int) -> np.ndarray:
-    """pos << n | neg for each row of x, whose first column is coordinate shift + 1.
+def _ranks(x: np.ndarray, shift: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """pos << n | neg and neg << n | pos for each row of x, whose first column is coordinate shift + 1.
 
-    pos and neg are the vertices of the row's ones and of its minus ones.
-    The two halves' parts of one x rank in disjoint bits: or-ing them ranks x.
-    A rank fits in an int64 while n <= 31.
+    pos and neg are the vertices of the row's ones and of its minus ones,
+    so the second rank is the first of -x.  The two halves' parts of one x
+    rank in disjoint bits: or-ing them ranks x.  A rank fits in an int64
+    while n <= 31.
     """
     place = np.left_shift(1, np.arange(shift, shift + x.shape[1]), dtype=np.int64)
-    return ((x == 1) @ place) << n | (x == -1) @ place
+    pos, neg = (x == 1) @ place, (x == -1) @ place
+    return pos << n | neg, neg << n | pos
 
 
 def _kernel_witness(signs: np.ndarray, left: np.ndarray, right: np.ndarray) -> tuple[int, int] | None:
-    """Smallest (pos x, neg x) over nonzero x = (y, z) with signs . x = 0 exactly.
+    """Smallest (pos x, neg x) over nonzero x = +-(y, z) with signs . x = 0 exactly.
 
     The smallest has pos x < neg x, since -x would give (neg x, pos x).
     ``signs`` is the n x k matrix of b_{j,i}; ``left`` and ``right`` index
     candidate sign vectors y of the first half of the coordinates and z of
-    the second.  Candidates with equal exact rows b . y = -b . z form a
-    group, and every (y, z) of a group is a kernel vector.  y and z are
-    chosen independently and z holds the higher coordinates, so the best x
-    with z != 0 joins a group's smallest-ranked nonzero z with its
-    smallest-ranked y; the best x with z = 0 is the smallest-ranked nonzero
-    y in the group of z = 0.
+    the second, z = 0 first.  Candidates with equal exact rows
+    b . y = -b . z form a group, and every (y, z) of a group is a kernel
+    vector, and so is its negative, which needs no z of its own.  y and z
+    are chosen independently and z holds the higher coordinates, so the
+    best x with z != 0 joins a group's smallest-ranked nonzero z with its
+    smallest-ranked y, under the ranks of (y, z) or of its negative; the
+    best x with z = 0 is the smallest-ranked nonzero y in the group of z = 0.
     """
     n, h = len(signs), len(signs) // 2
     y, z = _sign_vectors(left, h), _sign_vectors(right, n - h)
@@ -163,83 +168,63 @@ def _kernel_witness(signs: np.ndarray, left: np.ndarray, right: np.ndarray) -> t
     # one opaque value per row: np.unique(axis=0) groups the same rows several times slower
     _, group = np.unique(rows.view(np.dtype((np.void, rows.shape[1]))).ravel(), return_inverse=True)
     in_left, in_right = group[:left.size], group[left.size:]
-    y_rank, z_rank = _ranks(y, 0, n), _ranks(z, h, n)
+    y_ranks, z_ranks = _ranks(y, 0, n), _ranks(z, h, n)
+    nonzero = right > 0
     unset = np.iinfo(np.int64).max
-    best_y = np.full(len(rows), unset)
-    np.minimum.at(best_y, in_left, y_rank)
-    best_z = np.full(len(rows), unset)
-    np.minimum.at(best_z, in_right[z_rank > 0], z_rank[z_rank > 0])
-    both = (best_y < unset) & (best_z < unset)
-    # right index 0 is z = 0, whose key always matches: it is the first right candidate
-    found = np.concatenate([best_y[both] | best_z[both], y_rank[(y_rank > 0) & (in_left == in_right[0])]])
+    found = [y_ranks[0][(left > 0) & (in_left == in_right[0])]]
+    for y_rank, z_rank in zip(y_ranks, z_ranks):
+        best_y = np.full(len(rows), unset)
+        np.minimum.at(best_y, in_left, y_rank)
+        best_z = np.full(len(rows), unset)
+        np.minimum.at(best_z, in_right[nonzero], z_rank[nonzero])
+        both = (best_y < unset) & (best_z < unset)
+        found.append(best_y[both] | best_z[both])
+    found = np.concatenate(found)
     if not found.size:
         return None
     rank = int(found.min())
     return rank >> n, rank & ((1 << n) - 1)
 
 
-def _matched_keys(left: np.ndarray, right: np.ndarray) -> np.ndarray | None:
-    """The keys a left key shares with a right key, sorted; None when only x = 0 matches.
-
-    One sort of _verdict_keys(left, right): a left key followed by itself
-    plus one is a candidate match.  x = 0 always matches, and the set
-    resolves when it is the only candidate: a single left key 0, a single
-    right key 0 and no other match.  Keying only the z that are 0 or whose
-    highest nonzero entry is +1 loses nothing.  (y, z) matches at key k
-    exactly when (-y, -z) matches at -k, and for z != 0 one of z, -z is
-    keyed; so the matches of the whole right half are the ones found and
-    their negatives.  A nonzero y with z = 0 still shows as a second left
-    key 0, and a nonzero z with key 0 as a second right key 0, from z or -z.
-    """
-    keys = _verdict_keys(left, right)
-    keys.sort()
-    step = np.flatnonzero(np.diff(keys) == 1)
-    matched = keys[step[(keys[step] & np.uint64(1)) == 0]]
-    if matched.size == 1 and keys[1] == 1 and keys[2] != 1:
-        return None
-    # the union of matched and -matched; np.union1d would import numpy.ma on
-    # its first call, about 17 ms of a one-shot CLI verify
-    matched = np.concatenate([matched, -matched])
-    matched.sort()
-    return matched[np.concatenate([[True], matched[1:] != matched[:-1]])]
-
-
 def _witness(n: int, members) -> tuple[int, int] | None:
     """The smallest colliding pair (u, v), u < v, or None when the members resolve Q^n.
 
-    Keys are doubled so that the lowest bit can tag the right half's keys,
-    and the right half is keyed negated, so a match is left == right.  A
-    resolving set returns after the one sort of _matched_keys, which keys
-    only one of each pair x, -x with z != 0.  Otherwise the full halves are
-    keyed again, the candidates whose keys match are confirmed exactly, and
-    the witness is taken from the kernel vectors among them.
+    Each key carries the index of its sign vector in its low b bits, below
+    the coefficients, and a right key carries the bit side above the index;
+    the right half is keyed negated, so a match is a left and a right key
+    of one hash.  Those sort next to each other, left keys first within a
+    hash, so one sort of _verdict_keys decides the verdict and locates the
+    candidates: neighbours whose XOR lies in [side, 2 side) mark a hash with
+    a left and a right key.  x = 0 always gives one, at hash 0 (keys 0 and
+    side), and the set resolves when it is the only one and no third key
+    has hash 0.  Otherwise the runs of the marked hashes are read back,
+    their tags decoded and confirmed exactly by _kernel_witness.  A hash of
+    left keys only is skipped: coordinates no member tells apart tie many
+    left keys without any kernel vector among them.
     """
     bits = np.array(members, dtype=np.uint32)[:, None] >> np.arange(n, dtype=np.uint32) & 1
     signs = 1 - 2 * bits.T.astype(np.int8)
     weights = _multipliers(len(members))
-    coeffs = np.where(bits.T == 1, -weights, weights).sum(axis=1, dtype=np.uint64) << np.uint64(1)
     h = n // 2
-    matched = _matched_keys(coeffs[:h], -coeffs[h:])
-    if matched is None:
+    side = 1 << (3 ** (n - h) - 1).bit_length()
+    b = side.bit_length()
+    coeffs = np.where(bits.T == 1, -weights, weights).sum(axis=1, dtype=np.uint64) << np.uint64(b)
+    keys = _verdict_keys(coeffs[:h], -coeffs[h:], side)
+    keys.sort()
+    gaps = keys[1:] ^ keys[:-1]
+    gaps >>= np.uint64(b - 1)  # 1 exactly where a left key meets a right key of its hash
+    marked = np.flatnonzero(gaps == 1)
+    if marked.size == 1 and keys[2] >= 2 * side:
         return None
-    left, right = _half_keys(coeffs[:h]), _half_keys(-coeffs[h:])
-
-    def in_matched(keys: np.ndarray) -> np.ndarray:
-        # Positions of the keys found in matched.  np.isin's rule picks the
-        # method (a compare per matched key while matched is small, else a
-        # binary search), minus np.isin's set-up, which dominated small
-        # failing sets; the search alone was 3-4x slower than one compare
-        # when matched held a single key at n = 20-23.  matched is sorted
-        # and never empty (it holds key 0 of x = 0).
-        if matched.size < 10 * keys.size ** 0.145:
-            hit = keys == matched[0]
-            for key in matched[1:]:
-                hit |= keys == key
-        else:
-            hit = matched[np.minimum(np.searchsorted(matched, keys), matched.size - 1)] == keys
-        return np.flatnonzero(hit)
-
-    return _kernel_witness(signs, in_matched(left), in_matched(right))
+    tag = np.uint64(2 * side - 1)
+    hashes = keys[marked] & ~tag
+    lo = np.searchsorted(keys, hashes)
+    sizes = np.searchsorted(keys, hashes | tag, side="right") - lo
+    # the positions lo[r], ..., lo[r] + sizes[r] - 1 of every run r, in order
+    starts = np.cumsum(sizes) - sizes
+    tags = (keys[np.repeat(lo - starts, sizes) + np.arange(sizes.sum())] & tag).astype(np.int64)
+    is_right = tags >= side
+    return _kernel_witness(signs, tags[~is_right], tags[is_right] - side)
 
 
 def _check(S: Landmarks) -> None:
