@@ -29,6 +29,19 @@ vectors x, where pos x and neg x are the vertices of x's ones and minus
 ones, and (neg x, pos x) is the pair of -x.  _kernel_witness finds that
 least pair in one pass over the candidates, without pairing any left half
 with any right half, so a large kernel costs no more than its candidates.
+
+Minimality asks, for each member j of a resolving S, whether S - j still
+resolves.  Write B for the k x n matrix of the b_s, and B_G for its rows
+of a group G of members.  j in G is needed (S - j fails) exactly when
+some nonzero x with B_{S-G} x = 0 has B_G x nonzero at j alone: such an x
+is a kernel vector of S - j, and every kernel vector of S - j is one (it
+is no kernel vector of S, so B x is nonzero at j).  One verdict of S - G
+therefore decides every member of G, from the left-right key pairs of
+its matched runs: those are its kernel vectors up to sign, and B_G x and
+B_G (-x) have one support.  Each pair is confirmed exactly against B
+before it counts.  is_minimal runs the verdict of S and one per half of
+its members, splitting a half again only when its pairs, counted from
+the run bounds before any is decoded, outnumber that verdict's keys.
 """
 
 from __future__ import annotations
@@ -38,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Landmarks, Vertex, check_dimension, hamming_distance
+from .core import DIMENSION_CAP, Landmarks, Vertex, check_dimension, hamming_distance
 
 DistanceVector = tuple[int, ...]
 
@@ -73,13 +86,17 @@ def _multipliers(k: int) -> np.ndarray:
     return (z ^ (z >> np.uint64(31))) | np.uint64(1)
 
 
+# 3^t for every coordinate t of a half, up to the larger half of DIMENSION_CAP
+_POWERS = np.uint64(3) ** np.arange(DIMENSION_CAP - DIMENSION_CAP // 2, dtype=np.uint64)
+
+
 def _steps(coeffs: np.ndarray) -> zip:
     """(c + 3^t, 2 3^t - c) mod 2^64 for each coefficient c = coeffs[t], as uint64 scalars.
 
     They are what x_t = +1 and x_t = -1 add to a key: the powers of 3
     write digit t, 1 or 2, into the index carried in the key's low bits.
     """
-    power = np.uint64(3) ** np.arange(len(coeffs), dtype=np.uint64)
+    power = _POWERS[:len(coeffs)]
     return zip(coeffs + power, 2 * power - coeffs)
 
 
@@ -186,29 +203,35 @@ def _kernel_witness(signs: np.ndarray, left: np.ndarray, right: np.ndarray) -> t
     return rank >> n, rank & ((1 << n) - 1)
 
 
-def _witness(n: int, members) -> tuple[int, int] | None:
-    """The smallest colliding pair (u, v), u < v, or None when the members resolve Q^n.
-
-    Each key carries the index of its sign vector in its low b bits, below
-    the coefficients, and a right key carries the bit side above the index;
-    the right half is keyed negated, so a match is a left and a right key
-    of one hash.  Those sort next to each other, left keys first within a
-    hash, so one sort of _verdict_keys decides the verdict and locates the
-    candidates: neighbours whose XOR lies in [side, 2 side) mark a hash with
-    a left and a right key.  x = 0 always gives one, at hash 0 (keys 0 and
-    side), and the set resolves when it is the only one and no third key
-    has hash 0.  Otherwise the runs of the marked hashes are read back,
-    their tags decoded and confirmed exactly by _kernel_witness.  A hash of
-    left keys only is skipped: coordinates no member tells apart tie many
-    left keys without any kernel vector among them.
-    """
+def _signs(n: int, members) -> np.ndarray:
+    """The n x k matrix of b_{j,i} = 1 - 2 s_{j,i} for the members s_j, as int8."""
     bits = np.array(members, dtype=np.uint32)[:, None] >> np.arange(n, dtype=np.uint32) & 1
-    signs = 1 - 2 * bits.T.astype(np.int8)
-    weights = _multipliers(len(members))
+    return 1 - 2 * bits.T.astype(np.int8)
+
+
+def _matched_runs(signs: np.ndarray) -> tuple[np.ndarray, int, np.ndarray, np.ndarray, np.ndarray] | None:
+    """One verdict's sorted keys and the runs of its hashes holding a left and a right key.
+
+    Returns (keys, side, lo, mid, hi), or None when the members resolve:
+    run r is keys[lo[r]:hi[r]], left keys first, and its right keys start
+    at mid[r].  Each key carries the index of its sign vector in its low b
+    bits, below the coefficients, and a right key carries the bit side
+    above the index; the right half is keyed negated, so a match is a left
+    and a right key of one hash.  Those sort next to each other, left keys
+    first within a hash, so one sort of _verdict_keys decides the verdict
+    and locates the candidates: neighbours whose XOR lies in [side, 2 side)
+    mark a hash with a left and a right key.  x = 0 always gives one, at
+    hash 0 (keys 0 and side), and the set resolves when it is the only one
+    and no third key has hash 0.  A hash of left keys only is skipped:
+    coordinates no member tells apart tie many left keys without any
+    kernel vector among them.
+    """
+    n = len(signs)
+    weights = _multipliers(signs.shape[1])
     h = n // 2
     side = 1 << (3 ** (n - h) - 1).bit_length()
     b = side.bit_length()
-    coeffs = np.where(bits.T == 1, -weights, weights).sum(axis=1, dtype=np.uint64) << np.uint64(b)
+    coeffs = np.where(signs < 0, -weights, weights).sum(axis=1, dtype=np.uint64) << np.uint64(b)
     keys = _verdict_keys(coeffs[:h], -coeffs[h:], side)
     keys.sort()
     gaps = keys[1:] ^ keys[:-1]
@@ -219,12 +242,30 @@ def _witness(n: int, members) -> tuple[int, int] | None:
     tag = np.uint64(2 * side - 1)
     hashes = keys[marked] & ~tag
     lo = np.searchsorted(keys, hashes)
-    sizes = np.searchsorted(keys, hashes | tag, side="right") - lo
+    mid = marked + 1
+    hi = np.searchsorted(keys, hashes | tag, side="right")
+    return keys, side, lo, mid, hi
+
+
+def _confirm(signs: np.ndarray, keys: np.ndarray, side: int, lo: np.ndarray, hi: np.ndarray):
+    """The smallest colliding pair among the runs keys[lo[r]:hi[r]], confirmed by _kernel_witness."""
+    sizes = hi - lo
     # the positions lo[r], ..., lo[r] + sizes[r] - 1 of every run r, in order
     starts = np.cumsum(sizes) - sizes
+    tag = np.uint64(2 * side - 1)
     tags = (keys[np.repeat(lo - starts, sizes) + np.arange(sizes.sum())] & tag).astype(np.int64)
     is_right = tags >= side
     return _kernel_witness(signs, tags[~is_right], tags[is_right] - side)
+
+
+def _witness(n: int, members) -> tuple[int, int] | None:
+    """The smallest colliding pair (u, v), u < v, or None when the members resolve Q^n."""
+    signs = _signs(n, members)
+    runs = _matched_runs(signs)
+    if runs is None:
+        return None
+    keys, side, lo, _, hi = runs
+    return _confirm(signs, keys, side, lo, hi)
 
 
 def _check(S: Landmarks) -> None:
@@ -249,21 +290,118 @@ def is_resolving(S: Landmarks, *, threads: int = 1) -> VerificationReport:
     )
 
 
+_PAIR_BLOCK = 1 << 13
+
+
+def _pairs(lo: np.ndarray, mid: np.ndarray, hi: np.ndarray):
+    """Every (left, right) key position pair within one run, in blocks of _PAIR_BLOCK pairs."""
+    rights = hi - mid
+    counts = (mid - lo) * rights
+    ends = np.cumsum(counts)
+    total = int(ends[-1])
+    for start in range(0, total, _PAIR_BLOCK):
+        p = np.arange(start, min(start + _PAIR_BLOCK, total))
+        r = np.searchsorted(ends, p, side="right")
+        q = p - (ends[r] - counts[r])
+        yield lo[r] + q // rights[r], mid[r] + q % rights[r]
+
+
+def _column_tables(signs: np.ndarray) -> list[np.ndarray]:
+    """Per _DIGITS coordinates of a half, the k x 3^_DIGITS table whose column d is B x.
+
+    x is the sign vector of index d over those coordinates, and ``signs``
+    the half's rows of the n x k sign matrix, B transposed.  Digit t
+    appends the table plus and minus row t to it.
+    """
+    tables = []
+    for start in range(0, len(signs), _DIGITS):
+        table = np.zeros((signs.shape[1], 1), dtype=np.int8)
+        for row in signs[start:start + _DIGITS, :, None]:
+            table = np.concatenate([table, table + row, table - row], axis=1)
+        tables.append(table)
+    return tables
+
+
+def _columns(index: np.ndarray, tables: list[np.ndarray]) -> np.ndarray:
+    """The columns B x for the sign vectors x of a half with these indices, from its _column_tables."""
+    columns = 0
+    for table in tables:
+        index, low = np.divmod(index, 3**_DIGITS)
+        columns = columns + table.take(low, axis=1)
+    return columns
+
+
+def _needed(columns: np.ndarray, group: np.ndarray) -> np.ndarray:
+    """The members j of the group (a mask) for which some column's only nonzero entry is entry j.
+
+    Column i is B x for a candidate x of the verdict of the members
+    outside the group; one with a nonzero entry outside the group is no
+    kernel vector of theirs, and counts for nothing.
+    """
+    nonzero = columns != 0
+    single = nonzero[:, nonzero.sum(axis=0) == 1]
+    return single.any(axis=1) & group
+
+
+def _needed_in(signs: np.ndarray, tables: tuple[list, list], group: np.ndarray) -> np.ndarray | None:
+    """The needed members of a group (a mask), from one verdict of the members outside it.
+
+    None when that verdict's candidate pairs outnumber its keys.
+    ``tables`` are the _column_tables of both halves of the whole sign matrix.
+    """
+    rest = signs[:, ~group]
+    runs = _matched_runs(rest)
+    if runs is None:
+        return np.zeros_like(group)  # S - G resolves: every member of G can go
+    keys, side, lo, mid, hi = runs
+    if group.sum() == 1:
+        return group & (_confirm(rest, keys, side, lo, hi) is not None)
+    if int(((mid - lo) * (hi - mid)).sum()) > keys.size:
+        return None
+    needed = np.zeros_like(group)
+    tag = np.uint64(2 * side - 1)
+    for left, right in _pairs(lo, mid, hi):
+        y = (keys[left] & tag).astype(np.int64)
+        z = (keys[right] & tag).astype(np.int64) - side
+        needed |= _needed(_columns(y, tables[0]) + _columns(z, tables[1]), group)
+        if needed[group].all():
+            break
+    return needed
+
+
 def is_minimal(S: Landmarks, *, threads: int = 1) -> tuple[bool, list[Vertex]]:
     """Which members can be deleted with the rest still resolving?
 
-    Returns (minimal, removable).  Single-deletion checks suffice: a
-    resolving proper subset of S lies inside some S minus one member, and
-    every superset of a resolving set resolves too.  ``threads`` is
-    accepted for compatibility and ignored.
+    Returns (minimal, removable), removable in member order.  Single
+    deletions suffice: a resolving proper subset of S lies inside some S
+    minus one member, and every superset of a resolving set resolves too.
+    They are decided a group of members at a time (see the module
+    docstring): a member j of a group G is needed exactly when some kernel
+    vector x of S - G has B_G x nonzero at j alone.  The members start as
+    two halves, so a set usually costs three verdicts: S itself, which
+    raises ValueError when S does not resolve, and one of S - G per half
+    G.  A group whose pairs outnumber its verdict's keys is split in two;
+    a group of one member j is decided as is_resolving decides S - j.
+    ``threads`` is accepted for compatibility and ignored.
     """
     _check(S)
     if _witness(S.n, S.members) is not None:
         raise ValueError("minimality is only defined for resolving sets")
-    removable: list[Vertex] = []
-    if len(S.members) == 1:
-        return True, removable  # the empty set never resolves (n >= 1)
-    for i, s in enumerate(S.members):
-        if _witness(S.n, S.members[:i] + S.members[i + 1:]) is None:
-            removable.append(s)
+    k, h = len(S.members), S.n // 2
+    if k == 1:
+        return True, []  # the empty set never resolves (n >= 1)
+    needed = np.zeros(k, dtype=bool)
+    signs = _signs(S.n, S.members)
+    tables = _column_tables(signs[:h]), _column_tables(signs[h:])
+    groups = np.array_split(np.arange(k), 2)
+    while groups:
+        members = groups.pop()
+        group = np.zeros(k, dtype=bool)
+        group[members] = True
+        found = _needed_in(signs, tables, group)
+        if found is None:
+            groups += np.array_split(members, 2)
+        else:
+            needed |= found
+    removable = [s for s, keep in zip(S.members, needed) if not keep]
     return not removable, removable

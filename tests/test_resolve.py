@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import mdim.resolve
-from helpers import naive_is_resolving, permute_vertex, random_landmarks
-from mdim.construct import basis_minimal_set, reduced_erdos_renyi_set
+from helpers import naive_is_resolving, permute_vertex, random_landmarks, random_resolving_landmarks
+from mdim.construct import basis_minimal_set, erdos_renyi_set, reduced_erdos_renyi_set
 from mdim.core import Landmarks, all_ones, singleton, translate_set
 from mdim.graphs import build_hypercube, is_resolving_general
 from mdim.resolve import (
@@ -454,3 +454,84 @@ def test_is_minimal_rejects_non_resolving():
 
 def test_is_minimal_singleton():
     assert is_minimal(Landmarks(1, (0,))) == (True, [])
+
+
+def naive_removable(n, members):
+    return [s for i, s in enumerate(members) if naive_is_resolving(n, members[:i] + members[i + 1:])[0]]
+
+
+def test_is_minimal_results_above_the_bruteforce_range_are_pinned():
+    # (minimal, removable) of 80 seeded resolving sets with 13 <= n <= 22 and of three families
+    # for 5 <= n <= 22; the digest was taken from the is_minimal that ran one verdict per member
+    rng = Random(1622)
+    digest = hashlib.sha256()
+    checked = 0
+    while checked < 80:
+        n = rng.randint(13, 22)
+        S = random_landmarks(rng, n, rng.randint(n // 2 + 1, n - 2))
+        if is_resolving(S).resolving:
+            digest.update(repr(is_minimal(S)).encode())
+            checked += 1
+    for build in (basis_minimal_set, reduced_erdos_renyi_set, erdos_renyi_set):
+        for n in range(5, 23):
+            digest.update(repr(is_minimal(build(n))).encode())
+    assert digest.hexdigest() == "e34dde5a0afb4b14211eabb0ade57e523f305c0425ec1f026e57ef2d596b27a2"
+
+
+def spy_on_needed(monkeypatch):
+    """Count the candidate pairs that the group check saw, and those it rejected as no kernel vector."""
+    check = mdim.resolve._needed
+    seen = {"pairs": 0, "rejected": 0}
+
+    def spy(columns, group):
+        seen["pairs"] += columns.shape[1]
+        seen["rejected"] += int(((columns != 0) & ~group[:, None]).any(axis=0).sum())
+        return check(columns, group)
+
+    monkeypatch.setattr(mdim.resolve, "_needed", spy)
+    return seen
+
+
+def test_is_minimal_confirms_group_pairs_exactly(monkeypatch):
+    # weights 1..k tie many keys of sign vectors that are no kernel vector, while the pairs
+    # of most groups still fit within their verdict's keys
+    monkeypatch.setattr(mdim.resolve, "_multipliers", lambda k: np.arange(1, k + 1, dtype=np.uint64))
+    seen = spy_on_needed(monkeypatch)
+    rng = Random(99)
+    checked = 0
+    while checked < 150:
+        n = rng.randint(3, 9)
+        S = random_landmarks(rng, n, rng.randint(n - 1, min(1 << n, n + 3)))
+        if naive_is_resolving(n, S.members)[0]:
+            expected = naive_removable(n, S.members)
+            assert is_minimal(S) == (not expected, expected), S
+            checked += 1
+    assert seen["rejected"] >= 1000 and seen["pairs"] > seen["rejected"], seen
+
+
+def test_is_minimal_splits_groups_whose_pairs_outnumber_the_keys(monkeypatch):
+    # all-zero weights give every key hash 0: a group's pairs 3^h (3^m + 1)/2 outnumber its
+    # verdict's 3^h + (3^m + 1)/2 keys, so groups split down to single members
+    monkeypatch.setattr(mdim.resolve, "_multipliers", lambda k: np.zeros(k, dtype=np.uint64))
+    seen = spy_on_needed(monkeypatch)
+    build = mdim.resolve._verdict_keys
+    verdicts = []
+    monkeypatch.setattr(mdim.resolve, "_verdict_keys", lambda *args: verdicts.append(1) or build(*args))
+    rng = Random(4)
+    for n in range(2, 9):
+        for S in (random_resolving_landmarks(rng, n) for _ in range(3)):
+            verdicts.clear()
+            expected = naive_removable(n, S.members)
+            assert is_minimal(S) == (not expected, expected), S
+            # S itself, then a binary tree of groups with one leaf per member, without its root
+            assert len(verdicts) == 1 + 2 * len(S.members) - 2, S
+    assert seen["pairs"] == 0
+
+
+def test_is_minimal_builds_three_key_sets(monkeypatch):
+    # S itself and one verdict per half of its members; k + 1 verdicts without the group check
+    build = mdim.resolve._verdict_keys
+    verdicts = []
+    monkeypatch.setattr(mdim.resolve, "_verdict_keys", lambda *args: verdicts.append(1) or build(*args))
+    assert is_minimal(basis_minimal_set(20)) == (True, [])
+    assert len(verdicts) == 3
