@@ -20,10 +20,11 @@ from typing import Iterator
 # The ru_maxrss rise of is_resolving on one thread (2 vCPU Xeon) measured 13,
 # 39 and 117 MiB at n = 24, 26 and 28, both for basis_minimal_set and for the
 # failing set {2..n} without {5}.  Its exact confirm grows with the
-# candidates a set's kernel gives: two random members at n = 28 took
-# 4.0-4.8 s and 1.0-1.1 GiB.  is_minimal runs three such verdicts for most
-# sets and checks the group pairs in blocks of 8,192: at n = 28,
-# is_minimal(basis_minimal_set(28)) took 0.64-0.95 s at 146 MiB peak RSS in
+# candidates a set's kernel gives: two random members at n = 28 (7.1 M
+# candidates) took 2.2-2.7 s and 449 MiB peak RSS, about half of it in
+# np.unique's argsort.  is_minimal runs three such verdicts for most sets
+# and checks the group pairs in blocks of 8,192: at n = 28,
+# is_minimal(basis_minimal_set(28)) took 0.62-0.88 s at 146 MiB peak RSS in
 # a fresh process.  Vertices also stay inside a uint32.
 DIMENSION_CAP = 28
 

@@ -30,6 +30,12 @@ ones, and (neg x, pos x) is the pair of -x.  _kernel_witness finds that
 least pair in one pass over the candidates, without pairing any left half
 with any right half, so a large kernel costs no more than its candidates.
 
+A candidate is decoded from its base-3 index by table lookup.  For each
+group of 7 coordinates of a half, _tables fills, with the _spread that
+also builds the keys, the table whose row d sums what the digits of d add;
+_lookup sums the rows an index's digits pick.  That one pair gives the
+exact rows B y and -B z, the ranks (pos x, neg x) and plain sign vectors.
+
 Minimality asks, for each member j of a resolving S, whether S - j still
 resolves.  Write B for the k x n matrix of the b_s, and B_G for its rows
 of a group G of members.  j in G is needed (S - j fails) exactly when
@@ -41,17 +47,18 @@ its matched runs: those are its kernel vectors up to sign, and B_G x and
 B_G (-x) have one support.  Each pair is confirmed exactly against B
 before it counts.  is_minimal runs the verdict of S and one per half of
 its members, splitting a half again only when its pairs, counted from
-the run bounds before any is decoded, outnumber that verdict's keys.
+the run sizes before any is formed, outnumber that verdict's keys.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .core import DIMENSION_CAP, Landmarks, Vertex, check_dimension, hamming_distance
+from .core import DIMENSION_CAP, Landmarks, Vertex, check_dimension, check_vertex, hamming_distance
 
 DistanceVector = tuple[int, ...]
 
@@ -75,6 +82,7 @@ def distance_vector(v: Vertex, S: Landmarks) -> DistanceVector:
     """Distances from v to each landmark, in landmark order."""
     if not S.members:
         raise ValueError("empty landmark set has no distance vector")
+    check_vertex(v, S.n)
     return tuple(hamming_distance(v, s) for s in S.members)
 
 
@@ -100,8 +108,8 @@ def _steps(coeffs: np.ndarray) -> zip:
     return zip(coeffs + power, 2 * power - coeffs)
 
 
-def _spread(keys: np.ndarray, size: int, plus: np.uint64, minus: np.uint64) -> None:
-    """Extend the first size keys in place to 3 size: themselves, then plus plus, then plus minus."""
+def _spread(keys: np.ndarray, size: int, plus, minus) -> None:
+    """Extend the first size rows in place to 3 size: themselves, then plus plus, then plus minus."""
     np.add(keys[:size], plus, out=keys[size:2 * size])
     np.add(keys[:size], minus, out=keys[2 * size:3 * size])
 
@@ -136,60 +144,87 @@ def _verdict_keys(left: np.ndarray, right: np.ndarray, side: int) -> np.ndarray:
 
 
 _DIGITS = 7
-# row d: the sign vector of index d of a half of _DIGITS coordinates
-_SIGN_ROWS = np.array([0, 1, -1], dtype=np.int8)[np.indices((3,) * _DIGITS, dtype=np.int8).T.reshape(-1, _DIGITS)]
+
+
+def _tables(plus: np.ndarray, minus: np.ndarray) -> list[np.ndarray]:
+    """Per _DIGITS entries t, the table whose row d sums plus[t] or minus[t] where digit t of d is 1 or 2.
+
+    Entry t of ``plus`` and ``minus`` is what x_t = +1 and x_t = -1 add, a
+    row of any shape; digit t counts from the first entry of its table.
+    An empty half gets one table holding one zero row.
+    """
+    tables = []
+    for start in range(0, max(len(plus), 1), _DIGITS):
+        stop = min(start + _DIGITS, len(plus))
+        table = np.zeros((3 ** (stop - start), *plus.shape[1:]), dtype=plus.dtype)
+        for t in range(start, stop):
+            _spread(table, 3 ** (t - start), plus[t], minus[t])
+        tables.append(table)
+    return tables
+
+
+def _lookup(index: np.ndarray, tables: list[np.ndarray]) -> np.ndarray:
+    """For each index sum_t d_t 3^t, the sum of the rows its digits pick, _DIGITS at a time, from _tables."""
+    rows = np.zeros((index.size, *tables[0].shape[1:]), dtype=tables[0].dtype)
+    for table in tables:
+        index, low = np.divmod(index, 3**_DIGITS)
+        rows += table.take(low, axis=0)
+    return rows
 
 
 def _sign_vectors(index: np.ndarray, length: int) -> np.ndarray:
-    """Rows x for the indices sum_t d_t 3^t of a half of that length: x_t = 0, +1, -1 for d_t = 0, 1, 2.
+    """Rows x for the indices sum_t d_t 3^t of a half of that length: x_t = 0, +1, -1 for d_t = 0, 1, 2."""
+    unit = np.eye(length, dtype=np.int8)
+    return _lookup(index, _tables(unit, -unit))
 
-    The digits are peeled _DIGITS at a time and looked up in _SIGN_ROWS.
+
+@lru_cache(maxsize=None)
+def _rank_tables(n: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The _tables of (pos << n | neg, neg << n | pos) over each half of the coordinates of Q^n.
+
+    pos and neg are the vertices of a sign vector's ones and of its minus
+    ones, so the second rank is the first of -x.  The two halves' parts of
+    one x rank in disjoint bits: or-ing them ranks x.  A rank fits in an
+    int64 while n <= 31.
     """
-    x = np.empty((index.size, length), dtype=np.int8)
-    for t in range(0, length, _DIGITS):
-        index, low = np.divmod(index, 3**_DIGITS)
-        x[:, t:t + _DIGITS] = _SIGN_ROWS[low, :length - t]
-    return x
+    plus = np.left_shift(1, np.arange(n)[:, None] + [n, 0], dtype=np.int64)
+    h = n // 2
+    return _tables(plus[:h], plus[:h, ::-1]), _tables(plus[h:], plus[h:, ::-1])
 
 
-def _ranks(x: np.ndarray, shift: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """pos << n | neg and neg << n | pos for each row of x, whose first column is coordinate shift + 1.
+def _row_tables(signs: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The _tables of the exact rows B y over the first half of the coordinates and -B z over the second.
 
-    pos and neg are the vertices of the row's ones and of its minus ones,
-    so the second rank is the first of -x.  The two halves' parts of one x
-    rank in disjoint bits: or-ing them ranks x.  A rank fits in an int64
-    while n <= 31.
+    ``signs`` is the n x k matrix of b_{j,i}, B transposed.
     """
-    place = np.left_shift(1, np.arange(shift, shift + x.shape[1]), dtype=np.int64)
-    pos, neg = (x == 1) @ place, (x == -1) @ place
-    return pos << n | neg, neg << n | pos
+    h = len(signs) // 2
+    return _tables(signs[:h], -signs[:h]), _tables(-signs[h:], signs[h:])
 
 
-def _kernel_witness(signs: np.ndarray, left: np.ndarray, right: np.ndarray) -> tuple[int, int] | None:
-    """Smallest (pos x, neg x) over nonzero x = +-(y, z) with signs . x = 0 exactly.
+def _kernel_witness(tables: tuple, left: np.ndarray, right: np.ndarray) -> int | None:
+    """Smallest rank pos x << n | neg x over nonzero x = +-(y, z) with B x = 0 exactly.
 
     The smallest has pos x < neg x, since -x would give (neg x, pos x).
-    ``signs`` is the n x k matrix of b_{j,i}; ``left`` and ``right`` index
-    candidate sign vectors y of the first half of the coordinates and z of
-    the second, z = 0 first.  Candidates with equal exact rows
-    b . y = -b . z form a group, and every (y, z) of a group is a kernel
-    vector, and so is its negative, which needs no z of its own.  y and z
-    are chosen independently and z holds the higher coordinates, so the
-    best x with z != 0 joins a group's smallest-ranked nonzero z with its
-    smallest-ranked y, under the ranks of (y, z) or of its negative; the
+    ``tables`` holds the _row_tables of B and the _rank_tables of n;
+    ``left`` and ``right`` index candidate sign vectors y of the first half
+    of the coordinates and z of the second, z = 0 first.  Candidates with
+    equal exact rows B y = -B z form a group, and every (y, z) of a group is
+    a kernel vector, and so is its negative, which needs no z of its own.
+    y and z are chosen independently and z holds the higher coordinates, so
+    the best x with z != 0 joins a group's smallest-ranked nonzero z with
+    its smallest-ranked y, under the ranks of (y, z) or of its negative; the
     best x with z = 0 is the smallest-ranked nonzero y in the group of z = 0.
     """
-    n, h = len(signs), len(signs) // 2
-    y, z = _sign_vectors(left, h), _sign_vectors(right, n - h)
-    rows = np.concatenate([y @ signs[:h], -(z @ signs[h:])])
+    row_tables, rank_tables = tables
+    rows = np.concatenate([_lookup(left, row_tables[0]), _lookup(right, row_tables[1])])
     # one opaque value per row: np.unique(axis=0) groups the same rows several times slower
     _, group = np.unique(rows.view(np.dtype((np.void, rows.shape[1]))).ravel(), return_inverse=True)
     in_left, in_right = group[:left.size], group[left.size:]
-    y_ranks, z_ranks = _ranks(y, 0, n), _ranks(z, h, n)
+    y_ranks, z_ranks = _lookup(left, rank_tables[0]), _lookup(right, rank_tables[1])
     nonzero = right > 0
     unset = np.iinfo(np.int64).max
-    found = [y_ranks[0][(left > 0) & (in_left == in_right[0])]]
-    for y_rank, z_rank in zip(y_ranks, z_ranks):
+    found = [y_ranks[(left > 0) & (in_left == in_right[0]), 0]]
+    for y_rank, z_rank in zip(y_ranks.T, z_ranks.T):
         best_y = np.full(len(rows), unset)
         np.minimum.at(best_y, in_left, y_rank)
         best_z = np.full(len(rows), unset)
@@ -197,10 +232,7 @@ def _kernel_witness(signs: np.ndarray, left: np.ndarray, right: np.ndarray) -> t
         both = (best_y < unset) & (best_z < unset)
         found.append(best_y[both] | best_z[both])
     found = np.concatenate(found)
-    if not found.size:
-        return None
-    rank = int(found.min())
-    return rank >> n, rank & ((1 << n) - 1)
+    return int(found.min()) if found.size else None
 
 
 def _signs(n: int, members) -> np.ndarray:
@@ -209,12 +241,15 @@ def _signs(n: int, members) -> np.ndarray:
     return 1 - 2 * bits.T.astype(np.int8)
 
 
-def _matched_runs(signs: np.ndarray) -> tuple[np.ndarray, int, np.ndarray, np.ndarray, np.ndarray] | None:
-    """One verdict's sorted keys and the runs of its hashes holding a left and a right key.
+def _matched_runs(signs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+    """The sign-vector indices of one verdict's candidates, by runs of hashes holding a left and a right key.
 
-    Returns (keys, side, lo, mid, hi), or None when the members resolve:
-    run r is keys[lo[r]:hi[r]], left keys first, and its right keys start
-    at mid[r].  Each key carries the index of its sign vector in its low b
+    Returns (left, right, lefts, rights), or None when the members resolve:
+    run r holds the next lefts[r] indices y of ``left`` and the next
+    rights[r] indices z of ``right``, each increasing, and every (y, z) of
+    one run is a candidate.
+
+    Each key carries the index of its sign vector in its low b
     bits, below the coefficients, and a right key carries the bit side
     above the index; the right half is keyed negated, so a match is a left
     and a right key of one hash.  Those sort next to each other, left keys
@@ -237,25 +272,22 @@ def _matched_runs(signs: np.ndarray) -> tuple[np.ndarray, int, np.ndarray, np.nd
     gaps = keys[1:] ^ keys[:-1]
     gaps >>= np.uint64(b - 1)  # 1 exactly where a left key meets a right key of its hash
     marked = np.flatnonzero(gaps == 1)
+    del gaps  # as large as keys: gone before the candidates are gathered
     if marked.size == 1 and keys[2] >= 2 * side:
         return None
     tag = np.uint64(2 * side - 1)
     hashes = keys[marked] & ~tag
     lo = np.searchsorted(keys, hashes)
-    mid = marked + 1
     hi = np.searchsorted(keys, hashes | tag, side="right")
-    return keys, side, lo, mid, hi
-
-
-def _confirm(signs: np.ndarray, keys: np.ndarray, side: int, lo: np.ndarray, hi: np.ndarray):
-    """The smallest colliding pair among the runs keys[lo[r]:hi[r]], confirmed by _kernel_witness."""
     sizes = hi - lo
-    # the positions lo[r], ..., lo[r] + sizes[r] - 1 of every run r, in order
+    # the positions lo[r], ..., hi[r] - 1 of every run r, in order
     starts = np.cumsum(sizes) - sizes
-    tag = np.uint64(2 * side - 1)
-    tags = (keys[np.repeat(lo - starts, sizes) + np.arange(sizes.sum())] & tag).astype(np.int64)
-    is_right = tags >= side
-    return _kernel_witness(signs, tags[~is_right], tags[is_right] - side)
+    index = np.repeat(lo - starts, sizes)
+    index += np.arange(index.size)
+    index = keys[index].view(np.int64)
+    index &= 2 * side - 1
+    is_right = index >= side
+    return index[~is_right], index[is_right] - side, marked + 1 - lo, hi - marked - 1
 
 
 def _witness(n: int, members) -> tuple[int, int] | None:
@@ -264,8 +296,8 @@ def _witness(n: int, members) -> tuple[int, int] | None:
     runs = _matched_runs(signs)
     if runs is None:
         return None
-    keys, side, lo, _, hi = runs
-    return _confirm(signs, keys, side, lo, hi)
+    rank = _kernel_witness((_row_tables(signs), _rank_tables(n)), *runs[:2])
+    return None if rank is None else divmod(rank, 1 << n)
 
 
 def _check(S: Landmarks) -> None:
@@ -275,9 +307,12 @@ def _check(S: Landmarks) -> None:
 
 
 def is_resolving(S: Landmarks, *, threads: int = 1) -> VerificationReport:
-    """Check all 2^n distance vectors for pairwise distinctness.
+    """Decide whether S resolves Q^n, and find the smallest colliding pair when it does not.
 
-    ``threads`` is accepted for compatibility and ignored.
+    The verdict and the witness come from the sign vectors of the module
+    docstring, not from the 2^n distance vectors; ``vertices_checked`` is
+    2^n by definition, the vertices the verdict covers.  ``threads`` is
+    accepted for compatibility and ignored.
     """
     _check(S)
     t0 = time.perf_counter()
@@ -293,42 +328,16 @@ def is_resolving(S: Landmarks, *, threads: int = 1) -> VerificationReport:
 _PAIR_BLOCK = 1 << 13
 
 
-def _pairs(lo: np.ndarray, mid: np.ndarray, hi: np.ndarray):
-    """Every (left, right) key position pair within one run, in blocks of _PAIR_BLOCK pairs."""
-    rights = hi - mid
-    counts = (mid - lo) * rights
-    ends = np.cumsum(counts)
+def _pairs(lefts: np.ndarray, rights: np.ndarray):
+    """Every (left, right) position pair within one run of _matched_runs, in blocks of _PAIR_BLOCK pairs."""
+    ends = np.cumsum(lefts * rights)
     total = int(ends[-1])
+    left_starts, right_starts = np.cumsum(lefts) - lefts, np.cumsum(rights) - rights
     for start in range(0, total, _PAIR_BLOCK):
         p = np.arange(start, min(start + _PAIR_BLOCK, total))
         r = np.searchsorted(ends, p, side="right")
-        q = p - (ends[r] - counts[r])
-        yield lo[r] + q // rights[r], mid[r] + q % rights[r]
-
-
-def _column_tables(signs: np.ndarray) -> list[np.ndarray]:
-    """Per _DIGITS coordinates of a half, the k x 3^_DIGITS table whose column d is B x.
-
-    x is the sign vector of index d over those coordinates, and ``signs``
-    the half's rows of the n x k sign matrix, B transposed.  Digit t
-    appends the table plus and minus row t to it.
-    """
-    tables = []
-    for start in range(0, len(signs), _DIGITS):
-        table = np.zeros((signs.shape[1], 1), dtype=np.int8)
-        for row in signs[start:start + _DIGITS, :, None]:
-            table = np.concatenate([table, table + row, table - row], axis=1)
-        tables.append(table)
-    return tables
-
-
-def _columns(index: np.ndarray, tables: list[np.ndarray]) -> np.ndarray:
-    """The columns B x for the sign vectors x of a half with these indices, from its _column_tables."""
-    columns = 0
-    for table in tables:
-        index, low = np.divmod(index, 3**_DIGITS)
-        columns = columns + table.take(low, axis=1)
-    return columns
+        q = p - ends[r] + lefts[r] * rights[r]
+        yield left_starts[r] + q // rights[r], right_starts[r] + q % rights[r]
 
 
 def _needed(columns: np.ndarray, group: np.ndarray) -> np.ndarray:
@@ -343,27 +352,30 @@ def _needed(columns: np.ndarray, group: np.ndarray) -> np.ndarray:
     return single.any(axis=1) & group
 
 
-def _needed_in(signs: np.ndarray, tables: tuple[list, list], group: np.ndarray) -> np.ndarray | None:
+def _needed_in(signs: np.ndarray, tables: tuple, group: np.ndarray) -> np.ndarray | None:
     """The needed members of a group (a mask), from one verdict of the members outside it.
 
     None when that verdict's candidate pairs outnumber its keys.
-    ``tables`` are the _column_tables of both halves of the whole sign matrix.
+    ``tables`` holds the _row_tables of the whole sign matrix and the
+    _rank_tables of n; a group of one member confirms with the row tables'
+    other columns.
     """
-    rest = signs[:, ~group]
-    runs = _matched_runs(rest)
+    runs = _matched_runs(signs[:, ~group])
     if runs is None:
         return np.zeros_like(group)  # S - G resolves: every member of G can go
-    keys, side, lo, mid, hi = runs
+    left, right, lefts, rights = runs
+    (y_rows, z_rows), ranks = tables
     if group.sum() == 1:
-        return group & (_confirm(rest, keys, side, lo, hi) is not None)
-    if int(((mid - lo) * (hi - mid)).sum()) > keys.size:
+        rest = [table[:, ~group] for table in y_rows], [table[:, ~group] for table in z_rows]
+        return group & (_kernel_witness((rest, ranks), left, right) is not None)
+    n = len(signs)
+    if int((lefts * rights).sum()) > 3 ** (n // 2) + (3 ** (n - n // 2) + 1) // 2:
         return None
     needed = np.zeros_like(group)
-    tag = np.uint64(2 * side - 1)
-    for left, right in _pairs(lo, mid, hi):
-        y = (keys[left] & tag).astype(np.int64)
-        z = (keys[right] & tag).astype(np.int64) - side
-        needed |= _needed(_columns(y, tables[0]) + _columns(z, tables[1]), group)
+    for y, z in _pairs(lefts, rights):
+        columns = _lookup(left[y], y_rows)
+        columns -= _lookup(right[z], z_rows)
+        needed |= _needed(columns.T, group)
         if needed[group].all():
             break
     return needed
@@ -387,12 +399,12 @@ def is_minimal(S: Landmarks, *, threads: int = 1) -> tuple[bool, list[Vertex]]:
     _check(S)
     if _witness(S.n, S.members) is not None:
         raise ValueError("minimality is only defined for resolving sets")
-    k, h = len(S.members), S.n // 2
+    k = len(S.members)
     if k == 1:
         return True, []  # the empty set never resolves (n >= 1)
     needed = np.zeros(k, dtype=bool)
     signs = _signs(S.n, S.members)
-    tables = _column_tables(signs[:h]), _column_tables(signs[h:])
+    tables = _row_tables(signs), _rank_tables(S.n)
     groups = np.array_split(np.arange(k), 2)
     while groups:
         members = groups.pop()

@@ -8,7 +8,7 @@ import pytest
 import mdim.resolve
 from helpers import naive_is_resolving, permute_vertex, random_landmarks, random_resolving_landmarks
 from mdim.construct import basis_minimal_set, erdos_renyi_set, reduced_erdos_renyi_set
-from mdim.core import Landmarks, all_ones, singleton, translate_set
+from mdim.core import DIMENSION_CAP, Landmarks, all_ones, singleton, translate_set
 from mdim.graphs import build_hypercube, is_resolving_general
 from mdim.resolve import (
     distance_vector,
@@ -41,6 +41,13 @@ def test_distance_vector_zero_at_own_landmark():
 def test_distance_vector_rejects_empty():
     with pytest.raises(ValueError):
         distance_vector(0, Landmarks(5, ()))
+
+
+def test_distance_vector_rejects_vertices_outside_the_cube():
+    S = basis_minimal_set(5)
+    for v in (-1, 1 << 5):
+        with pytest.raises(ValueError):
+            distance_vector(v, S)
 
 
 def bfs_oracle(S):
@@ -307,6 +314,58 @@ def test_sign_vectors_match_the_digit_formula():
         assert got.dtype == np.int8 and np.array_equal(got, formula(index, length)), length
     index = np.random.default_rng(14).integers(0, 3**14, 50_000)
     assert np.array_equal(mdim.resolve._sign_vectors(index, 14), formula(index, 14))
+
+
+def decoder_indices():
+    """(length, indices): every index of the half-lengths 0-8, then 50,000 random ones of length 14."""
+    for length in range(9):
+        yield length, np.arange(3**length)
+    yield 14, np.random.default_rng(28).integers(0, 3**14, 50_000)
+
+
+def test_row_tables_give_the_exact_rows_of_the_digit_formula():
+    rng = np.random.default_rng(5)
+    for length, index in decoder_indices():
+        digits = index[:, None] // 3 ** np.arange(length) % 3
+        x = np.where(digits == 2, -1, digits)
+        for k in range(1, 29):
+            # both halves of 2 length coordinates, the second one negated
+            signs = (1 - 2 * rng.integers(0, 2, (2 * length, k))).astype(np.int8)
+            y_rows, z_rows = mdim.resolve._row_tables(signs)
+            for tables, expected in ((y_rows, x @ signs[:length]), (z_rows, -(x @ signs[length:]))):
+                got = mdim.resolve._lookup(index, tables)
+                assert got.dtype == np.int8 and np.array_equal(got, expected), (length, k)
+
+
+def bit_loop_ranks(d, length, shift, n):
+    """(pos << n | neg, neg << n | pos) of the sign vector x of index d; x_0 is coordinate shift + 1."""
+    pos = neg = 0
+    for t in range(shift, shift + length):
+        d, digit = divmod(d, 3)
+        if digit == 1:
+            pos |= 1 << t
+        elif digit == 2:
+            neg |= 1 << t
+    return pos << n | neg, neg << n | pos
+
+
+def test_rank_tables_match_a_bit_loop():
+    for length, index in decoder_indices():
+        n = 2 * length
+        for shift, tables in zip((0, length), mdim.resolve._rank_tables(n)):
+            got = mdim.resolve._lookup(index, tables)
+            expected = [list(bit_loop_ranks(d, length, shift, n)) for d in index.tolist()]
+            assert got.dtype == np.int64 and got.tolist() == expected, (length, shift)
+
+
+def test_ranks_fit_an_int64_at_the_dimension_cap():
+    # a rank sums one row of every table of both halves, so the tables' largest entries bound
+    # every rank: all +1, (2^n - 1) << n, which overflows an int64 from n = 32 on
+    n = DIMENSION_CAP
+    tables = [table for half in mdim.resolve._rank_tables(n) for table in half]
+    assert min(int(table.min()) for table in tables) == 0
+    largest = sum(int(table.max()) for table in tables)
+    assert largest == ((1 << n) - 1) << n and largest < 2**63
 
 
 def sign_edge_sets(rng, n):
