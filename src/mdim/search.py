@@ -54,13 +54,12 @@ from .construct import best_construction
 from .core import Landmarks, check_dimension
 from .resolve import _sign_vectors, is_resolving
 
-# Default cost guard; --force overrides it up to FORCED_CAP.  Under the
-# default, `dimension --n 8` takes 0.43-0.48 s at 34 MiB peak RSS.  Above it
-# time bounds the search: a stratum with no hit scans all of its
-# C(2^(k-1), n) column sets (C(32, 9) = 28 M at n = 9, k = 6).  The kernel
-# took 1.2-1.4 ms for one block of _CHUNK candidates at n = 9, k = 6 (34 MiB
-# peak RSS) and 19-22 ms at n = 12, k = 7 (54 MiB, 18.5 of it the table);
-# `dimension --n 9 --force` took 45-47 s at 36 MiB (on a 2 vCPU Xeon).
+# Default cost guard; --force overrides it up to FORCED_CAP.  `dimension
+# --n 8` takes 0.34-0.37 s and `dimension --n 9 --force` 18-23 s, both at
+# 32 MiB peak RSS.  A stratum with no hit scans all of its C(2^(k-1), n)
+# column sets (C(32, 9) = 28 M at n = 9, k = 6) in blocks of _CHUNK: ~4.3 ms
+# a block at n = 9, k = 6 (2.1 of it the kernel), 19-22 ms for the kernel
+# alone at n = 12, k = 7 (54 MiB, 18.5 of it the table), on a 2 vCPU Xeon.
 EXHAUSTIVE_CAP = 8
 FORCED_CAP = 12
 
@@ -205,9 +204,9 @@ def _extends(n: int, k: int, prefix: tuple[int, ...]) -> bool:
     r = k - len(prefix) rows give each cell distinct r-bit columns, so up to
     those permutations a completion is one m-subset of {0,1}^r per cell of
     size m, assigned to the cell's coordinates in increasing order.  A
-    choice whose rows are zero, repeated or already in the prefix gives
-    fewer than k members; every k-set has a choice without such rows, so
-    those are dropped untested and the rest are tested in blocks.
+    choice with zero, repeated or prefix rows gets its distinct members'
+    verdict (ANDing a row twice, or phi's all-ones row, changes nothing),
+    and a resolving set has resolving supersets of every size up to 2^n.
     """
     if k > 1 << n:
         return False
@@ -218,17 +217,16 @@ def _extends(n: int, k: int, prefix: tuple[int, ...]) -> bool:
     sizes = [len(cell) for cell in cells.values()]
     if max(sizes) > 1 << r:
         return False
-    coordinates = np.array([i for cell in cells.values() for i in cell], dtype=np.uint32)
-    taken = np.array(prefix, dtype=np.uint32)
-    lanes = np.arange(r, dtype=np.uint32)
+    coordinates = [i for cell in cells.values() for i in cell]
+    lanes = np.arange(r, dtype=np.uint32)[:, None]
     for columns in _choice_blocks(0, 1 << r, sizes):
-        # row j of a choice has bit i set where coordinate i's column has bit j set
-        rows = ((columns[:, :, None] >> lanes & 1) << coordinates[:, None]).sum(axis=1, dtype=np.uint32)
-        ordered = np.sort(rows, axis=1)
-        keep = np.all(ordered[:, 1:] != ordered[:, :-1], axis=1)
-        keep &= ~np.any(rows[:, :, None] == taken, axis=(1, 2))  # taken holds phi: no zero rows
-        combos = np.concatenate([np.broadcast_to(taken, (int(keep.sum()), taken.size)), rows[keep]], axis=1)
-        if combos.size and _resolving_mask(n, combos).any():
+        # member-major, so each OR spans the block: member j has bit i set
+        # where coordinate i's column has bit j set
+        members = np.zeros((k, len(columns)), dtype=np.uint32)
+        members[:len(prefix)] = np.array(prefix, dtype=np.uint32)[:, None]
+        for column, i in zip(columns.T, coordinates):
+            members[len(prefix):] |= (column >> lanes & 1) << i
+        if _resolving_mask(n, members.T).any():
             return True
     return False
 
@@ -371,11 +369,12 @@ def verify_no_smaller(n: int, k: int) -> bool:
     """True iff no size-k resolving set containing phi exists.
 
     By translation invariance this certifies that no resolving set of size
-    k exists at all.
+    k exists at all.  For n <= k <= 2^n one exists: {phi, e_1, ..., e_(n-1)}
+    and its supersets resolve, since d(v, e_i) - d(v, phi) = 1 - 2 v_i.
     """
     check_dimension(n)
     if n > EXHAUSTIVE_CAP:
         raise ValueError(f"verify_no_smaller is limited to n <= {EXHAUSTIVE_CAP}, got {n}")
     if k < 1:
         raise ValueError(f"set size must be >= 1, got {k}")
-    return not _extends(n, k, (0,))
+    return k > 1 << n if k >= n else not _extends(n, k, (0,))

@@ -196,6 +196,11 @@ def test_verify_no_smaller():
     assert verify_no_smaller(5, 3)
     assert not verify_no_smaller(5, 4)
     assert verify_no_smaller(2, 5)  # more members than vertices
+    # from k = n on the answer needs no scan (the scan's ranks would overflow int64)
+    for n, k in [(8, 12), (6, 20), (5, 30), (5, 32), (6, 6)]:
+        assert not verify_no_smaller(n, k), (n, k)
+    for n, k in [(5, 33), (3, 9)]:
+        assert verify_no_smaller(n, k), (n, k)
 
 
 def test_min_size_monotone_over_computed_range():
@@ -362,7 +367,8 @@ def test_one_vertex_rows_resolve_only_q1(n):
 def test_resolving_mask_at_the_q8_boundary(monkeypatch):
     # the block of rows in which _extends(8, 6, (0,)) finds its first hit, where
     # both verdicts occur (random rows at large n nearly all resolve), against the
-    # verifier row by row and against the BFS oracle on a sample
+    # verifier row by row and against the BFS oracle on a sample; a row with zero
+    # or repeated members gets the verdict of its distinct members
     seen = []
     kernel = mdim.search._resolving_mask
 
@@ -375,7 +381,8 @@ def test_resolving_mask_at_the_q8_boundary(monkeypatch):
     assert mdim.search._extends(8, 6, (0,))
     combos, mask = seen[-1]
     assert len(seen) > 1 and 0 < mask.sum() < len(mask)
-    rows = combos.tolist()
+    rows = [sorted(set(row)) for row in combos.tolist()]
+    assert min(map(len, rows)) < 6
     assert mask.tolist() == [is_resolving(Landmarks(8, row)).resolving for row in rows]
     g = build_hypercube(8)
     rng = np.random.default_rng(8)
@@ -413,6 +420,16 @@ def test_column_scan_matches_plain_scan():
                 assert mdim.search._first_hit(n, k) == first.members, (n, k)
         report = min_resolving_size(n)
         assert report.example == next(find_all_min_sets(n, report.min_size))
+
+
+def test_extends_up_to_the_whole_cube():
+    # near k = 2^n most completions repeat rows; past it no k-set exists
+    for n in range(1, 4):
+        for k in range(1, (1 << n) + 2):
+            expected = any(
+                naive_is_resolving(n, (0,) + rest)[0] for rest in itertools.combinations(range(1, 1 << n), k - 1)
+            )
+            assert mdim.search._extends(n, k, (0,)) == expected, (n, k)
 
 
 def test_extends_matches_plain_scan_on_longer_prefixes():
