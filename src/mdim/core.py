@@ -203,6 +203,7 @@ def split_vertex_list(text: str) -> list[str]:
 
 def parse_landmarks(text: str, n: int) -> Landmarks:
     """Parse a comma-separated list of vertex texts into a Landmarks value."""
+    check_dimension(n)
     members = []
     for idx, token in enumerate(split_vertex_list(text), start=1):
         try:

@@ -23,18 +23,21 @@ by arithmetic.  The plain scan over every phi-containing k-subset stays
 for find_all_min_sets, which lists every hit, and as the reference the
 tests compare against.
 
-Candidates are built in numpy, in lexicographic order, as blocks of at
-most _CHUNK rows made as they are consumed: _choice_blocks decodes each
-block from a run of consecutive ranks, with one cell for the plain scan
-and one per cell of equal prefix columns for the column scan.  The kernel
-decides a candidate without its 2^n distance vectors, by the
-detecting-matrix criterion the verifier uses: with phi in the set, it
-fails iff some nonzero sum-zero x in {-1,0,1}^n also sums to 0 on the
-ones of every other member.  A cached table holds one bit per such x up to
-sign for every vertex, (A002426(n) - 1) / 2 bits (70 at n = 6, 1,569 at
-n = 9, 36,894 at n = 12), so a candidate costs r ANDs of a few uint64
-words.  Every verdict is an existence question and every listing keeps
-enumeration order, so no report depends on the block size.
+The column scan's candidates come from _choice_blocks, which decodes
+blocks of at most _CHUNK rows from runs of consecutive ranks, one cell
+per cell of equal prefix columns.  The plain scan grows its candidates
+one member at a time, depth first, so each level holds one block of
+prefixes (all C(62, 3) = 37,820 prefixes of the (6, 5) listing would hold
+75,640 words of running AND).  The kernel decides a candidate without its
+2^n distance vectors, by the detecting-matrix criterion the verifier
+uses: with phi in the set, it fails iff some nonzero sum-zero x in
+{-1,0,1}^n also sums to 0 on the ones of every other member.  A cached
+table holds one bit per such x up to sign for every vertex,
+(A002426(n) - 1) / 2 bits (70 at n = 6, 1,569 at n = 9, 36,894 at
+n = 12), so a candidate costs a few uint64 words per member past the
+first, and a plain-scan child one row ANDed into its parent's.  Every
+verdict is an existence question and every listing keeps enumeration
+order, so no report depends on the block size.
 
 Minimum sizes for n >= 6 are not literature claims; they are values this
 search computes and certifies exhaustively within its guards.
@@ -124,16 +127,17 @@ def _resolving_mask(n: int, combos: np.ndarray) -> np.ndarray:
     b_phi . x = sum x, and a sum-zero x has b_s . x = 0 iff it sums to 0 on
     the ones of s: S fails iff the AND of its members' _zero_masks rows is
     nonzero.  Translating a candidate by its first member, an automorphism,
-    makes that member phi, whose row holds every x_j; the AND starts there,
-    so a Q^1 candidate, with no x_j, resolves.  Tiles hold ~_TILE_WORDS words.
+    makes that member phi, whose row holds every x_j, so the AND starts from
+    member 1, or from phi's row for a one-member candidate: on Q^1, with no
+    x_j, that resolves.  Tiles hold ~_TILE_WORDS words.
     """
     table = _zero_masks(n)
     tile = max(1, _TILE_WORDS // max(table.shape[1], 1))
     resolves = np.empty(len(combos), dtype=bool)
     for lo in range(0, len(combos), tile):
         members = (combos[lo:lo + tile] ^ combos[lo:lo + tile, :1]).T.astype(np.intp)
-        zero = table.take(members[0], axis=0)
-        for row in members[1:]:
+        zero = table.take(members[min(1, len(members) - 1)], axis=0)
+        for row in members[2:]:
             zero &= table.take(row, axis=0)
         # an OR over each row's words: np.any reduces short rows slower
         np.equal(np.bitwise_or.reduce(zero, axis=1), 0, out=resolves[lo:lo + members.shape[1]])
@@ -178,17 +182,66 @@ def _choice_blocks(lo: int, hi: int, sizes: list[int]) -> Iterator[np.ndarray]:
         yield block
 
 
-def _scan_hits(n: int, size: int, normalize: bool) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (combo block, hit indices) over all candidates of one size."""
+def _appended(rows: np.ndarray, parent: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Rows parent with v appended, in rows' dtype."""
+    grown = np.empty((len(parent), rows.shape[1] + 1), dtype=rows.dtype)
+    grown[:, :-1] = rows.take(parent, axis=0)
+    grown[:, -1] = v
+    return grown
+
+
+def _completions(words: np.ndarray, rows: np.ndarray, zero: np.ndarray, size: int, top: int) -> Iterator[np.ndarray]:
+    """Yield the resolving size-subsets of range(top) extending rows, as uint32 hit blocks.
+
+    Depth first: each row gets every v above its last member that leaves
+    room for the members still to come, in blocks of parents whose
+    children's running ANDs fill about _CHUNK words, each completed before
+    the next is built.  A child's AND is its parent's and the _zero_masks
+    row of v translated by the row's first member (words and zero are
+    word-major); children ascend after their parent, so rows stay in
+    lexicographic order.
+    """
+    # _CHUNK words is 64 KiB, under glibc's default 128 KiB mmap threshold: blocks
+    # of _CHUNK children at n = 6 (128 KiB) raised the bench search peak RSS by 0.4 MiB
+    budget = _CHUNK // max(len(words), 1)
+    t = rows.shape[1]
+    last = rows[:, -1].astype(np.intp)
+    counts = top - size + t - last
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    lo = 0
+    while lo < len(rows):
+        hi = max(int(np.searchsorted(ends, starts[lo] + budget, side="right")), lo + 1)
+        parent = np.repeat(np.arange(lo, hi), counts[lo:hi])
+        v = np.repeat(last[lo:hi] + 1 - starts[lo:hi], counts[lo:hi])
+        v += np.arange(starts[lo], ends[hi - 1])
+        grown = zero.take(parent, axis=1)
+        grown &= words.take(v ^ rows[:, 0].take(parent), axis=1)
+        if t + 1 < size:
+            yield from _completions(words, _appended(rows, parent, v), grown, size, top)
+        else:
+            hits = np.flatnonzero(np.bitwise_or.reduce(grown, axis=0) == 0)
+            if hits.size:
+                yield _appended(rows, parent[hits], v[hits]).astype(np.uint32)
+        lo = hi
+
+
+def _scan_hits(n: int, size: int, normalize: bool) -> Iterator[np.ndarray]:
+    """Yield every resolving size-subset of range(2^n), holding 0 if normalize, as uint32 hit blocks.
+
+    A first member translates to phi, so its running AND is phi's row.
+    """
+    words = np.ascontiguousarray(_zero_masks(n).T)
+    top = 1 << n
+    # a first member leaves room for the size - 1 members above it
+    roots = np.arange(max(top - size + 1, 0), dtype=np.min_scalar_type(top - 1))[:, None]
     if normalize:
-        blocks = (
-            np.column_stack([np.zeros(len(rest), dtype=np.uint32), rest])
-            for rest in _choice_blocks(1, 1 << n, [size - 1])
-        )
-    else:
-        blocks = _choice_blocks(0, 1 << n, [size])
-    for combos in blocks:
-        yield combos, np.flatnonzero(_resolving_mask(n, combos))
+        roots = roots[:1]
+    if size > 1:
+        yield from _completions(words, roots, np.repeat(words[:, :1], len(roots), axis=1), size, top)
+    elif not len(words):
+        # a lone member translates to phi, whose row holds every x_j; Q^1 has none
+        yield roots.astype(np.uint32)
 
 
 def _columns(n: int, prefix: tuple[int, ...]) -> list[int]:
@@ -341,7 +394,8 @@ def find_all_min_sets(n: int, k: int, normalize: bool = True, *, threads: int = 
 
     normalize=True restricts to sets containing phi (sufficient up to
     translation); normalize=False enumerates all subsets and is only
-    allowed at n <= 5.  ``threads`` is accepted for compatibility and
+    allowed at n <= 5.  Each block of hits is checked once in place of
+    Landmarks.__post_init__.  ``threads`` is accepted for compatibility and
     ignored.
     """
     check_dimension(n)
@@ -353,15 +407,17 @@ def find_all_min_sets(n: int, k: int, normalize: bool = True, *, threads: int = 
         raise ValueError(f"set size must be >= 1, got {k}")
     if not normalize and n > 5:
         raise ValueError("unrestricted enumeration is limited to n <= 5")
-    for combos, hits in _scan_hits(n, k, normalize=normalize):
-        found = combos[hits]
+    new = object.__new__
+    for found in _scan_hits(n, k, normalize=normalize):
         # Landmarks' own checks, once per block: members below 2^n, and
         # strictly increasing rows, so pairwise distinct
         if found.size and (found.max() >> n or not (found[:, 1:] > found[:, :-1]).all()):
             raise ValueError(f"search produced an invalid landmark set for n={n}")
-        for members in found.tolist():
-            S = object.__new__(Landmarks)
-            S.__dict__.update(n=n, members=tuple(members))
+        for members in map(tuple, found.tolist()):
+            S = new(Landmarks)
+            fields = S.__dict__
+            fields["n"] = n
+            fields["members"] = members
             yield S
 
 

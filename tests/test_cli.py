@@ -60,6 +60,18 @@ def test_verify_parse_error_exit_two(capsys):
     assert "landmark 2" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--n", "40", "--set", "0"),
+    ("verify", "--n", "0", "--set", "0"),
+    ("minimal", "--n", "30", "--set", "0,1"),
+])
+def test_bad_dimension_is_not_blamed_on_a_landmark(capsys, argv):
+    # a dimension outside 1..DIMENSION_CAP is named alone, not as the first token's fault
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "dimension must be an int" in err and "landmark" not in err
+
+
 def test_verify_fast_flag_same_payload(capsys):
     _, slow = run_record(capsys, "verify", "--n", "6", "--set", "010000,001000,000100,000010,000001")
     _, fast = run_record(

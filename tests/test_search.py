@@ -178,12 +178,53 @@ def test_listing_yields_real_landmarks():
                 S.members = ()
 
 
+def test_unrestricted_q5_listing_is_pinned():
+    # recorded from the plain rank-decoding scan, before candidates grew one member at a time
+    test_listing_is_pinned(5, 5, False, 98_816, (0, 1, 2, 4, 8), (23, 27, 29, 30, 31),
+                           "2704c4bd35b280942595edda2bed50bc9f1888a9750230d957d9c77351b1cb57")
+
+
+def _listing_reference(n, k, normalize):
+    # the kernel on itertools rows in blocks: no enumeration code shared with the scan
+    rows = (((0,) + rest for rest in itertools.combinations(range(1, 1 << n), k - 1)) if normalize
+            else itertools.combinations(range(1 << n), k))
+    hits = []
+    while block := list(itertools.islice(rows, 4096)):
+        combos = np.array(block, dtype=np.uint32)
+        hits += [tuple(row) for row in combos[mdim.search._resolving_mask(n, combos)].tolist()]
+    return hits
+
+
+@pytest.mark.parametrize("n,k,normalize", [
+    (n, k, normalize) for normalize, top in [(True, 6), (False, 5)] for n in range(1, top + 1) for k in range(1, 6)
+])
+def test_listing_matches_kernel_on_itertools_rows(monkeypatch, n, k, normalize):
+    expected = _listing_reference(n, k, normalize)
+    assert [S.members for S in find_all_min_sets(n, k, normalize=normalize)] == expected
+    monkeypatch.setattr(mdim.search, "_CHUNK", 97)
+    assert [S.members for S in find_all_min_sets(n, k, normalize=normalize)] == expected
+
+
+@pytest.mark.parametrize("n,k,normalize", [(6, 5, True), (5, 5, False)])
+def test_scan_holds_one_block_per_level(n, k, normalize):
+    # depth first, so the scan never holds a whole level: all 37,820 prefixes
+    # (0, a, b, c) of the n = 6 stream with their running ANDs peaked at 2.1 MiB
+    tracemalloc.start()
+    try:
+        hits = sum(len(block) for block in mdim.search._scan_hits(n, k, normalize))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hits == {6: 58_080, 5: 98_816}[n]
+    assert peak <= 3 << 19, peak
+
+
 @pytest.mark.parametrize("bad", [[0, 1, 2, 32], [0, 1, 1, 2]])
 def test_listing_checks_each_hit_block(monkeypatch, bad):
     # a member >= 2^n, or a repeated member, in a hit block is refused: the
     # once-per-block check stands in for Landmarks' own
     def scan(n, size, normalize):
-        yield np.array([[0, 1, 2, 3], bad], dtype=np.uint32), np.array([0, 1])
+        yield np.array([[0, 1, 2, 3], bad], dtype=np.uint32)
 
     monkeypatch.setattr(mdim.search, "_scan_hits", scan)
     with pytest.raises(ValueError):
