@@ -23,21 +23,21 @@ by arithmetic.  The plain scan over every phi-containing k-subset stays
 for find_all_min_sets, which lists every hit, and as the reference the
 tests compare against.
 
-The column scan's candidates come from _choice_blocks, which decodes
-blocks of at most _CHUNK rows from runs of consecutive ranks, one cell
-per cell of equal prefix columns.  The plain scan grows its candidates
-one member at a time, depth first, so each level holds one block of
-prefixes (all C(62, 3) = 37,820 prefixes of the (6, 5) listing would hold
-75,640 words of running AND).  The kernel decides a candidate without its
-2^n distance vectors, by the detecting-matrix criterion the verifier
-uses: with phi in the set, it fails iff some nonzero sum-zero x in
-{-1,0,1}^n also sums to 0 on the ones of every other member.  A cached
-table holds one bit per such x up to sign for every vertex,
-(A002426(n) - 1) / 2 bits (70 at n = 6, 1,569 at n = 9, 36,894 at
-n = 12), so a candidate costs a few uint64 words per member past the
-first, and a plain-scan child one row ANDed into its parent's.  Every
-verdict is an existence question and every listing keeps enumeration
-order, so no report depends on the block size.
+Both scans grow their candidates by one technique, _children: depth
+first, one position at a time, children ascending after their parent.
+The plain scan appends a member, the column scan a coordinate's column,
+so each level holds one block (all C(62, 3) = 37,820 prefixes of the
+(6, 5) listing would hold 75,640 words of running AND) and nothing is
+unranked.  The kernel decides a candidate without its 2^n distance
+vectors, by the detecting-matrix criterion the verifier uses: with phi
+in the set, it fails iff some nonzero sum-zero x in {-1,0,1}^n also sums
+to 0 on the ones of every other member.  A cached table holds one bit per
+such x up to sign for every vertex, (A002426(n) - 1) / 2 bits (70 at
+n = 6, 1,569 at n = 9, 36,894 at n = 12), so a candidate costs a few
+uint64 words per member past the first, and a plain-scan child one row
+ANDed into its parent's.  Every verdict is an existence question and
+every listing keeps enumeration order, so no report depends on the block
+size.
 
 Minimum sizes for n >= 6 are not literature claims; they are values this
 search computes and certifies exhaustively within its guards.
@@ -48,7 +48,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, prod
+from math import comb
 from typing import Iterator
 
 import numpy as np
@@ -58,11 +58,12 @@ from .core import Landmarks, check_dimension
 from .resolve import _sign_vectors, is_resolving
 
 # Default cost guard; --force overrides it up to FORCED_CAP.  `dimension
-# --n 8` takes 0.34-0.37 s and `dimension --n 9 --force` 18-23 s, both at
-# 32 MiB peak RSS.  A stratum with no hit scans all of its C(2^(k-1), n)
-# column sets (C(32, 9) = 28 M at n = 9, k = 6) in blocks of _CHUNK: ~4.3 ms
-# a block at n = 9, k = 6 (2.1 of it the kernel), 19-22 ms for the kernel
-# alone at n = 12, k = 7 (54 MiB, 18.5 of it the table), on a 2 vCPU Xeon.
+# --n 8` takes 0.33-0.39 s at 32 MiB peak RSS and `dimension --n 9 --force`
+# 9.8-11.0 s at 33 MiB.  A stratum with no hit scans all of its
+# C(2^(k-1), n) column sets (C(32, 9) = 28 M at n = 9, k = 6, in 5,435
+# blocks of ~5,200, each 0.2-0.4 ms to grow and 0.9-1.3 ms in the kernel);
+# the kernel takes 19-22 ms a block of _CHUNK at n = 12, k = 7 (54 MiB,
+# 18.5 of it the table), on a 2 vCPU Xeon.
 EXHAUSTIVE_CAP = 8
 FORCED_CAP = 12
 
@@ -73,7 +74,6 @@ _CHUNK = 8192
 # in steps of 2^8, 83 MiB in steps of 2^12 (on a 2 vCPU Xeon).
 _TILE_WORDS = 1 << 16
 _TABLE_COLUMNS = 1 << 8
-_INT64_MAX = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -144,42 +144,22 @@ def _resolving_mask(n: int, combos: np.ndarray) -> np.ndarray:
     return resolves
 
 
-def _choice_blocks(lo: int, hi: int, sizes: list[int]) -> Iterator[np.ndarray]:
-    """Every choice of sizes[c] distinct values of range(lo, hi) for each cell c, concatenated.
+def _children(low: np.ndarray, counts: np.ndarray, budget: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield (parent, v) blocks: parent i once for each v in range(low[i], low[i] + counts[i]).
 
-    Rows come in lexicographic order as uint32 blocks of at most _CHUNK
-    rows, each block a run of consecutive ranks decoded directly (the
-    combinatorial number system, Knuth TAOCP 4A 7.2.1.3).  A rank's cells
-    are its mixed-radix digits, the first cell most significant.  A cell's
-    lexicographic rank t among the m-subsets of range(size) is the colex
-    rank count - 1 - t of the mirrored subset (c -> size - 1 - c), decoded
-    largest member first: its j-th smallest is the largest y with C(y, j)
-    at most the rank left.  Raises ValueError when the choices outnumber
-    int64 ranks.
+    Parents come whole and in order, each with its children ascending, as
+    many as fit in budget children, or one parent alone if it exceeds it.
     """
-    size = max(hi - lo, 0)
-    counts = [comb(size, m) for m in sizes]
-    total = prod(counts)
-    if total > _INT64_MAX:
-        raise ValueError(f"{total} choices do not fit an int64 rank")
-    # row j holds C(y, j) for y < size; every rank is below _INT64_MAX, so clipping keeps the order
-    binomials = np.array(
-        [[min(comb(y, j), _INT64_MAX) for y in range(size)] for j in range(max(sizes, default=0) + 1)],
-        dtype=np.int64,
-    )
-    for start in range(0, total, _CHUNK):
-        rest = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        block = np.empty((len(rest), sum(sizes)), dtype=np.uint32)
-        end = block.shape[1]
-        for m, count in zip(reversed(sizes), reversed(counts)):
-            rest, colex = np.divmod(rest, count)
-            colex = count - 1 - colex
-            for j in range(m, 0, -1):
-                y = np.searchsorted(binomials[j], colex, side="right") - 1
-                colex -= binomials[j].take(y)
-                block[:, end - j] = lo + size - 1 - y
-            end -= m
-        yield block
+    ends = counts.cumsum()
+    starts = ends - counts
+    lo = 0
+    while lo < len(counts):
+        hi = max(int(ends.searchsorted(starts[lo] + budget, side="right")), lo + 1)
+        parent = np.arange(lo, hi).repeat(counts[lo:hi])
+        v = (low[lo:hi] - starts[lo:hi]).repeat(counts[lo:hi])
+        v += np.arange(starts[lo], ends[hi - 1])
+        yield parent, v
+        lo = hi
 
 
 def _appended(rows: np.ndarray, parent: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -206,15 +186,7 @@ def _completions(words: np.ndarray, rows: np.ndarray, zero: np.ndarray, size: in
     budget = _CHUNK // max(len(words), 1)
     t = rows.shape[1]
     last = rows[:, -1].astype(np.intp)
-    counts = top - size + t - last
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    lo = 0
-    while lo < len(rows):
-        hi = max(int(np.searchsorted(ends, starts[lo] + budget, side="right")), lo + 1)
-        parent = np.repeat(np.arange(lo, hi), counts[lo:hi])
-        v = np.repeat(last[lo:hi] + 1 - starts[lo:hi], counts[lo:hi])
-        v += np.arange(starts[lo], ends[hi - 1])
+    for parent, v in _children(last + 1, top - size + t - last, budget):
         grown = zero.take(parent, axis=1)
         grown &= words.take(v ^ rows[:, 0].take(parent), axis=1)
         if t + 1 < size:
@@ -223,7 +195,6 @@ def _completions(words: np.ndarray, rows: np.ndarray, zero: np.ndarray, size: in
             hits = np.flatnonzero(np.bitwise_or.reduce(grown, axis=0) == 0)
             if hits.size:
                 yield _appended(rows, parent[hits], v[hits]).astype(np.uint32)
-        lo = hi
 
 
 def _scan_hits(n: int, size: int, normalize: bool) -> Iterator[np.ndarray]:
@@ -249,39 +220,65 @@ def _columns(n: int, prefix: tuple[int, ...]) -> list[int]:
     return [sum((p >> i & 1) << j for j, p in enumerate(prefix)) for i in range(n)]
 
 
-def _extends(n: int, k: int, prefix: tuple[int, ...]) -> bool:
-    """Is the sorted prefix (0, p_1, ..., p_t) contained in some resolving k-set?
+def _grow_columns(
+    bits: np.ndarray, steps: list[tuple[int, int, int]], rows: np.ndarray, last: np.ndarray
+) -> Iterator[np.ndarray]:
+    """Yield the member-major rows completed by steps, in blocks of at most _CHUNK.
+
+    Step (i, q, m) gives coordinate i, the q-th of a cell of m, a column
+    above last (from 0 when q = 0) that leaves room for the cell's m - q - 1
+    columns to come; a child ORs in bits[:, column] << i.
+    """
+    (i, q, m), rest = steps[0], steps[1:]
+    low = last + 1 if q else np.zeros(len(last), dtype=np.intp)
+    # quarter blocks above the leaves: n full blocks alive at once raised the
+    # forced n = 9 peak RSS from 33 to 37 MiB, and saved no time
+    for parent, v in _children(low, bits.shape[1] - m + q + 1 - low, _CHUNK // 4 if rest else _CHUNK):
+        grown = rows.take(parent, axis=1)
+        column = bits.take(v, axis=1)
+        column <<= i
+        grown |= column
+        if rest:
+            yield from _grow_columns(bits, rest, grown, v)
+        else:
+            yield grown
+
+
+def _column_rows(n: int, k: int, prefix: tuple[int, ...]) -> Iterator[np.ndarray]:
+    """Yield the completions of the sorted prefix (0, p_1, ..., p_t) to k members, as member-major uint32 blocks.
 
     Coordinates whose prefix columns are equal form a cell; permuting a
     cell fixes every prefix member.  The column lemma makes the completion's
     r = k - len(prefix) rows give each cell distinct r-bit columns, so up to
     those permutations a completion is one m-subset of {0,1}^r per cell of
-    size m, assigned to the cell's coordinates in increasing order.  A
-    choice with zero, repeated or prefix rows gets its distinct members'
-    verdict (ANDing a row twice, or phi's all-ones row, changes nothing),
-    and a resolving set has resolving supersets of every size up to 2^n.
+    size m, assigned to the cell's coordinates in increasing order.  They
+    grow a column at a time, cell by cell, in lexicographic order of their
+    columns.  Block row j is member j: the prefix, then the completion,
+    whose row len(prefix) + j has bit i where coordinate i's column has bit j.
     """
-    if k > 1 << n:
-        return False
     r = k - len(prefix)
     cells: dict[int, list[int]] = {}
     for i, column in enumerate(_columns(n, prefix)):
         cells.setdefault(column, []).append(i)
-    sizes = [len(cell) for cell in cells.values()]
-    if max(sizes) > 1 << r:
-        return False
-    coordinates = [i for cell in cells.values() for i in cell]
-    lanes = np.arange(r, dtype=np.uint32)[:, None]
-    for columns in _choice_blocks(0, 1 << r, sizes):
-        # member-major, so each OR spans the block: member j has bit i set
-        # where coordinate i's column has bit j set
-        members = np.zeros((k, len(columns)), dtype=np.uint32)
-        members[:len(prefix)] = np.array(prefix, dtype=np.uint32)[:, None]
-        for column, i in zip(columns.T, coordinates):
-            members[len(prefix):] |= (column >> lanes & 1) << i
-        if _resolving_mask(n, members.T).any():
-            return True
-    return False
+    if max(map(len, cells.values())) > 1 << r:
+        return
+    bits = np.zeros((k, 1 << r), dtype=np.uint32)
+    bits[len(prefix):] = np.arange(1 << r, dtype=np.uint32) >> np.arange(r, dtype=np.uint32)[:, None] & 1
+    steps = [(i, q, len(cell)) for cell in cells.values() for q, i in enumerate(cell)]
+    rows = np.array(prefix + (0,) * r, dtype=np.uint32)[:, None]
+    yield from _grow_columns(bits, steps, rows, np.zeros(1, dtype=np.intp))
+
+
+def _extends(n: int, k: int, prefix: tuple[int, ...]) -> bool:
+    """Is the sorted prefix (0, p_1, ..., p_t) contained in some resolving k-set?
+
+    Up to coordinate permutations fixing the prefix, the sets containing it
+    are its _column_rows.  A completion with zero, repeated or prefix rows
+    gets its distinct members' verdict (ANDing a row twice, or phi's
+    all-ones row, changes nothing), and a resolving set has resolving
+    supersets of every size up to 2^n.
+    """
+    return k <= 1 << n and any(_resolving_mask(n, rows.T).any() for rows in _column_rows(n, k, prefix))
 
 
 def _first_hit(n: int, k: int) -> tuple[int, ...]:

@@ -2,7 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import tracemalloc
-from math import comb, prod
+from math import comb
 
 import numpy as np
 import pytest
@@ -237,7 +237,7 @@ def test_verify_no_smaller():
     assert verify_no_smaller(5, 3)
     assert not verify_no_smaller(5, 4)
     assert verify_no_smaller(2, 5)  # more members than vertices
-    # from k = n on the answer needs no scan (the scan's ranks would overflow int64)
+    # from k = n on the answer needs no scan: {phi, e_1, ..., e_(n-1)} resolves
     for n, k in [(8, 12), (6, 20), (5, 30), (5, 32), (6, 6)]:
         assert not verify_no_smaller(n, k), (n, k)
     for n, k in [(5, 33), (3, 9)]:
@@ -265,90 +265,80 @@ def test_q6_size_4_failures_spot_check():
         assert not is_resolving(Landmarks(6, members)).resolving
 
 
-@pytest.mark.parametrize("chunk", [97, mdim.search._CHUNK])
-def test_choice_blocks_match_itertools(monkeypatch, chunk):
-    monkeypatch.setattr(mdim.search, "_CHUNK", chunk)
-    cases = [(0, 5, 0), (3, 3, 0), (0, 5, 1), (1, 64, 1), (3, 3, 2), (5, 3, 2), (0, 4, 5), (0, 10, 10),
-             (1, 64, 4), (0, 16, 8)]
-    for lo, hi, k in cases:
-        blocks = list(mdim.search._choice_blocks(lo, hi, [k]))
-        assert all(0 < len(block) <= chunk and block.shape[1] == k for block in blocks), (lo, hi, k)
-        got = [tuple(row) for block in blocks for row in block.tolist()]
-        assert got == list(itertools.combinations(range(lo, hi), k)), (lo, hi, k)
+def test_children_yield_each_child_once_in_order():
+    # (parent, v) for every parent i and v in range(low[i], low[i] + counts[i]),
+    # whole parents per block, within the budget unless one parent alone exceeds it
+    rng = np.random.default_rng(20)
+    cases = [([0, 5, 2], [3, 0, 4], 2), ([7], [0], 1), ([], [], 4), ([1, 1, 1, 1], [2, 9, 0, 2], 4),
+             ([0, 3], [0, 0], 3)]
+    cases += [(rng.integers(0, 50, m), rng.integers(0, 6, m), budget) for m, budget in [(40, 7), (300, 64), (25, 1)]]
+    for low, counts, budget in cases:
+        low, counts = np.array(low, dtype=np.intp), np.array(counts, dtype=np.intp)
+        blocks = list(mdim.search._children(low, counts, budget))
+        got = [(p, v) for parent, v in blocks for p, v in zip(parent.tolist(), v.tolist())]
+        expected = [(i, v) for i in range(len(low)) for v in range(low[i], low[i] + counts[i])]
+        assert got == expected, (low, counts, budget)
+        for parent, v in blocks:
+            assert len(parent) == len(v) and (len(parent) <= budget or len(set(parent.tolist())) == 1)
+        owners = [set(parent.tolist()) for parent, _ in blocks]
+        assert all(not a & b for a, b in itertools.combinations(owners, 2))
 
 
-@pytest.mark.parametrize("chunk", [97, mdim.search._CHUNK])
-def test_choice_blocks_bound_rows_and_memory(monkeypatch, chunk):
-    # every block holds at most _CHUNK rows, and streaming never holds much
-    # more than one: C(32, 8) is the n = 8 stratum, 336 MB if built at once,
-    # and at 97 rows, where it would take 108 K blocks, C(20, 8) stands in for it
-    monkeypatch.setattr(mdim.search, "_CHUNK", chunk)
-    cases = [(0, 5, 0), (3, 3, 0), (0, 5, 1), (1, 64, 1), (3, 3, 2), (5, 3, 2), (0, 4, 5), (0, 10, 10),
-             (1, 64, 4), (0, 16, 8), (0, 20, 8) if chunk == 97 else (0, 32, 8)]
-    for lo, hi, k in cases:
-        rows = []
-        tracemalloc.start()
-        try:
-            for block in mdim.search._choice_blocks(lo, hi, [k]):
-                rows.append(len(block))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert max(rows, default=0) <= chunk, (lo, hi, k)
-        assert sum(rows) == comb(max(hi - lo, 0), k), (lo, hi, k)
-        assert peak <= 2 << 20, (lo, hi, k, peak)
-
-
-def test_choice_blocks_stream_c32_8():
-    # the n = 8 stratum's 10.5 M column sets, too many to compare as tuples:
-    # C(32, 8) increasing rows below 32 whose base-32 values increase are
-    # exactly the 8-subsets of range(32) in lexicographic order
+def test_column_rows_stream_c32_8():
+    # the n = 8, k = 6 stratum: one cell of 8 coordinates over the 32 columns of
+    # {0,1}^5, C(32, 8) = 10.5 M completions, 336 MB if built at once; they come
+    # in increasing base-32 order of their columns (traced peak 2.55 MiB, decoding
+    # included)
+    keys = 32 ** np.arange(7, -1, -1, dtype=np.int64)
+    coordinates = np.arange(8, dtype=np.uint32)[:, None]
     rows, last = 0, -1
-    for block in mdim.search._choice_blocks(0, 32, [8]):
-        assert len(block) <= mdim.search._CHUNK
-        assert (block[:, 1:] > block[:, :-1]).all() and (block[:, -1] < 32).all()
-        keys = block.astype(np.int64) @ (32 ** np.arange(7, -1, -1, dtype=np.int64))
-        assert keys[0] > last and (keys[1:] > keys[:-1]).all()
-        rows, last = rows + len(block), keys[-1]
+    tracemalloc.start()
+    try:
+        for block in mdim.search._column_rows(8, 6, (0,)):
+            assert block.shape[0] == 6 and block.shape[1] <= mdim.search._CHUNK and not block[0].any()
+            columns = sum((block[1 + j] >> coordinates & 1) << j for j in range(5))
+            key = keys @ columns.astype(np.int64)
+            assert key[0] > last and (key[1:] > key[:-1]).all()
+            rows, last = rows + block.shape[1], key[-1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert rows == comb(32, 8)
+    assert peak <= 11 << 18, peak
+
+
+def _cell_prefix(sizes):
+    # phi and one member per bit of the cell index: coordinates of cell c get column 2c
+    cells = [c for c, m in enumerate(sizes) for _ in range(m)]
+    return (0,) + tuple(sum(1 << i for i, c in enumerate(cells) if c >> j & 1)
+                        for j in range(max(len(sizes) - 1, 0).bit_length()))
 
 
 def test_column_choices_are_distinct_within_each_cell(monkeypatch):
     # a cell of size m takes an m-subset of the r-bit columns, in increasing
-    # order, and the choices come in the order of the product of the cells'
-    # combinations
+    # order, and the completions come in the order of the product of the
+    # cells' combinations, with the prefix rows untouched
     for chunk in (97, mdim.search._CHUNK):
         monkeypatch.setattr(mdim.search, "_CHUNK", chunk)
-        for sizes, r in [([3], 2), ([1, 2], 2), ([2, 1, 1], 2), ([4], 2), ([1], 0), ([2, 3], 3), ([1, 1, 1, 1], 3)]:
-            blocks = list(mdim.search._choice_blocks(0, 1 << r, sizes))
-            assert all(len(block) <= chunk for block in blocks)
-            choices = [tuple(row) for block in blocks for row in block.tolist()]
-            assert len(choices) == prod(comb(1 << r, m) for m in sizes)
-            assert len(set(choices)) == len(choices)
-            assert choices == sorted(choices)
-            for choice in choices:
-                start = 0
-                for m in sizes:
-                    cell = choice[start:start + m]
-                    assert all(a < b for a, b in zip(cell, cell[1:]))
-                    assert all(0 <= c < 1 << r for c in cell)
-                    start += m
+        for sizes, r in [([3], 2), ([1, 2], 2), ([2, 1, 1], 2), ([4], 2), ([1], 0), ([2, 3], 3), ([1, 1, 1, 1], 3),
+                         ([3, 5], 2)]:
+            prefix = _cell_prefix(sizes)
+            n, t = sum(sizes), len(prefix)
+            choices = []
+            for block in mdim.search._column_rows(n, t + r, prefix):
+                assert block.shape[0] == t + r and block.shape[1] <= chunk
+                assert block.dtype == np.uint32 and (block[:t].T == prefix).all()
+                for row in block[t:].T.tolist():
+                    choices.append(tuple(sum((s >> i & 1) << j for j, s in enumerate(row)) for i in range(n)))
             cells = [itertools.combinations(range(1 << r), m) for m in sizes]
-            assert choices == [sum(parts, ()) for parts in itertools.product(*cells)]
+            assert choices == [sum(parts, ()) for parts in itertools.product(*cells)], (sizes, r)
 
 
 @pytest.mark.parametrize("pool,k", [(63, 4), (31, 5), (20, 3), (7, 7), (15, 0)])
 def test_lex_rank_inverts_choice_blocks(pool, k):
-    # _lex_rank, which subsets_examined uses, is the inverse of the producer's unranking
-    rows = [tuple(row) for block in mdim.search._choice_blocks(1, pool + 1, [k]) for row in block.tolist()]
-    assert len(rows) == comb(pool, k)
+    # _lex_rank, which subsets_examined uses, ranks the combinations of range(1, pool + 1) in order
+    rows = itertools.combinations(range(1, pool + 1), k)
     assert all(mdim.search._lex_rank(row, pool) == i for i, row in enumerate(rows))
-
-
-def test_choice_blocks_refuse_ranks_past_int64():
-    # C(2048, 12) choices would wrap an int64 rank
-    with pytest.raises(ValueError):
-        next(mdim.search._choice_blocks(0, 1 << 11, [12]))
 
 
 @pytest.mark.parametrize("n", range(1, 13))
