@@ -2,7 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import tracemalloc
-from math import comb
+from math import comb, prod
 
 import numpy as np
 import pytest
@@ -284,7 +284,38 @@ def test_children_yield_each_child_once_in_order():
         assert all(not a & b for a, b in itertools.combinations(owners, 2))
 
 
-def test_column_rows_stream_c32_8():
+def _cell_prefix(sizes):
+    # phi and one member per bit of the cell index: coordinates of cell c get column 2c
+    cells = [c for c, m in enumerate(sizes) for _ in range(m)]
+    return (0,) + tuple(sum(1 << i for i, c in enumerate(cells) if c >> j & 1)
+                        for j in range(max(len(sizes) - 1, 0).bit_length()))
+
+
+@pytest.mark.parametrize("chunk", [97, mdim.search._CHUNK])
+def test_choice_blocks_bound_rows_and_memory(monkeypatch, chunk):
+    # every block of completions holds at most _CHUNK of them, and streaming
+    # never holds much more than one block: C(32, 8) is the n = 8, k = 6
+    # stratum, 336 MB if built at once, and at 97 per block, where it would
+    # take 108 K blocks, C(16, 8) stands in for it
+    monkeypatch.setattr(mdim.search, "_CHUNK", chunk)
+    cases = [([3], 2), ([1, 2], 2), ([2, 1, 1], 2), ([4], 2), ([1], 0), ([2, 3], 3), ([3, 5], 2), ([6], 5),
+             ([8], 4) if chunk == 97 else ([8], 5)]
+    for sizes, r in cases:
+        prefix = _cell_prefix(sizes)
+        widths = []
+        tracemalloc.start()
+        try:
+            for block in mdim.search._column_rows(sum(sizes), len(prefix) + r, prefix):
+                widths.append(block.shape[1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert max(widths, default=0) <= chunk, (sizes, r)
+        assert sum(widths) == prod(comb(1 << r, m) for m in sizes), (sizes, r)
+        assert peak <= 2 << 20, (sizes, r, peak)
+
+
+def test_choice_blocks_stream_c32_8():
     # the n = 8, k = 6 stratum: one cell of 8 coordinates over the 32 columns of
     # {0,1}^5, C(32, 8) = 10.5 M completions, 336 MB if built at once; they come
     # in increasing base-32 order of their columns (traced peak 2.55 MiB, decoding
@@ -305,13 +336,6 @@ def test_column_rows_stream_c32_8():
         tracemalloc.stop()
     assert rows == comb(32, 8)
     assert peak <= 11 << 18, peak
-
-
-def _cell_prefix(sizes):
-    # phi and one member per bit of the cell index: coordinates of cell c get column 2c
-    cells = [c for c, m in enumerate(sizes) for _ in range(m)]
-    return (0,) + tuple(sum(1 << i for i, c in enumerate(cells) if c >> j & 1)
-                        for j in range(max(len(sizes) - 1, 0).bit_length()))
 
 
 def test_column_choices_are_distinct_within_each_cell(monkeypatch):
