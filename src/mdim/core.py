@@ -16,16 +16,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-# The verifier sorts 3^h + (3^(n-h) + 1)/2 keys of sign vectors, h = n // 2.
-# The ru_maxrss rise of is_resolving on one thread (2 vCPU Xeon) measured 13,
-# 39 and 117 MiB at n = 24, 26 and 28, both for basis_minimal_set and for the
-# failing set {2..n} without {5}.  Its exact confirm grows with the
-# candidates a set's kernel gives: two random members at n = 28 (7.1 M
-# candidates) took 2.2-2.7 s and 449 MiB peak RSS, about half of it in
-# np.unique's argsort.  is_minimal runs three such verdicts for most sets
-# and checks the group pairs in blocks of 8,192: at n = 28,
-# is_minimal(basis_minimal_set(28)) took 0.62-0.88 s at 146 MiB peak RSS in
-# a fresh process.  Vertices also stay inside a uint32.
+# The verifier sorts 3^h + (3^(n-h) + 1)/2 keys of sign vectors, h = n // 2,
+# in a buffer each thread keeps for its largest verdict: 3.4 MiB at n = 23
+# and 54.7 MiB at n = 28.  The ru_maxrss rise of is_resolving on one thread
+# (2 vCPU Xeon) measured 7, 19 and 56 MiB at n = 24, 26 and 28, both for
+# basis_minimal_set and for the failing set {2..n} without {5}.  Its exact
+# confirm grows with the candidates a set's kernel gives: two random
+# members at n = 28 (7.1 M candidates) took 1.7-2.1 s and 501 MiB peak
+# RSS, about half of it in np.unique's argsort.  is_minimal runs three such
+# verdicts for most sets and checks the group pairs in blocks of at most
+# 8,192: at n = 28, is_minimal(basis_minimal_set(28)) took 0.39-0.52 s at
+# 106 MiB peak RSS in a fresh process.  Vertices also stay inside a uint32.
 DIMENSION_CAP = 28
 
 Vertex = int

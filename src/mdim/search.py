@@ -58,8 +58,9 @@ from .core import Landmarks, check_dimension
 from .resolve import _sign_vectors, is_resolving
 
 # Default cost guard; --force overrides it up to FORCED_CAP.  `dimension
-# --n 8` takes 0.33-0.39 s at 32 MiB peak RSS and `dimension --n 9 --force`
-# 9.8-11.0 s at 33 MiB.  A stratum with no hit scans all of its
+# --n 8` takes 0.24-0.29 s of process wall time at 32.5 MiB peak RSS, of
+# which min_resolving_size(8) is 0.044-0.06 s, and `dimension --n 9
+# --force` 9.8-11.0 s at 33 MiB.  A stratum with no hit scans all of its
 # C(2^(k-1), n) column sets (C(32, 9) = 28 M at n = 9, k = 6, in 5,435
 # blocks of ~5,200, each 0.2-0.4 ms to grow and 0.9-1.3 ms in the kernel);
 # the kernel takes 19-22 ms a block of _CHUNK at n = 12, k = 7 (54 MiB,

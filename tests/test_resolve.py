@@ -1,5 +1,9 @@
 import hashlib
 import itertools
+import sys
+import threading
+import time
+import tracemalloc
 from random import Random
 
 import numpy as np
@@ -289,6 +293,122 @@ def test_left_key_ties_stay_out_of_the_exact_confirm(monkeypatch):
     S = Landmarks(20, tuple(singleton(i) for i in range(2, 21) if i != 5))
     assert is_resolving(S).witness == (1, 16)
     assert len(rows) == 1 and rows[0] <= 8, rows
+
+
+def without_five(n):
+    """{2}, ..., {n} without {5}: no member tells {1} from {5}, so the witness is (1, 16)."""
+    return Landmarks(n, tuple(singleton(i) for i in range(2, n + 1) if i != 5))
+
+
+@pytest.fixture(scope="module")
+def bruteforce_cases():
+    """Seeded sets with n <= 12, their brute-force (resolving, witness) and, for resolving sets,
+    the is_minimal result (None for the others)."""
+    rng = Random(2112)
+    cases = []
+    for _ in range(40):
+        n = rng.randint(1, 12)
+        S = random_landmarks(rng, n, rng.randint(max(1, n - 3), min(1 << n, n + 2)))
+        resolving, witness = naive_is_resolving(n, S.members)
+        removable = naive_removable(n, S.members) if resolving else None
+        cases.append((S, resolving, witness, None if removable is None else (not removable, removable)))
+    assert 10 <= sum(resolving for _, resolving, *_ in cases) <= 30
+    return cases
+
+
+def check_marking_blocks(block, cases, monkeypatch):
+    def results():
+        out = []
+        for S, _, _, minimal in cases:
+            report = is_resolving(S)
+            out.append((S, report.resolving, report.witness, None if minimal is None else is_minimal(S)))
+        return out
+
+    assert results() == cases
+    monkeypatch.setattr(mdim.resolve, "_PAIR_BLOCK", block)
+    assert results() == cases
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7])
+def test_marking_blocks_change_no_result(block, bruteforce_cases, monkeypatch):
+    check_marking_blocks(block, bruteforce_cases, monkeypatch)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7])
+def test_marking_blocks_change_no_result_with_colliding_weights(block, bruteforce_cases, colliding_weights, monkeypatch):
+    # nearly every key repeats, so runs of one hash straddle the edges of small blocks
+    check_marking_blocks(block, bruteforce_cases, monkeypatch)
+    assert overruled(colliding_weights)
+
+
+def test_threads_keep_their_own_key_buffers():
+    # numpy releases the interpreter lock while it sorts, so threads writing one shared key
+    # buffer would corrupt each other's verdicts; three threads, each running the calls in
+    # its own order, must get the serial reports
+    calls = []
+    for n in (20, 23):
+        calls += [
+            (is_resolving, basis_minimal_set(n)),
+            (is_resolving, without_five(n)),
+            (is_minimal, reduced_erdos_renyi_set(n)),
+            (is_minimal, basis_minimal_set(n)),
+        ]
+
+    def run(j):
+        check, S = calls[j]
+        got = check(S)
+        return got if check is is_minimal else (got.resolving, got.witness, got.vertices_checked)
+
+    serial = [run(j) for j in range(len(calls))]
+    assert serial[1][:2] == serial[5][:2] == (False, (1, 16))
+    rng = Random(21)
+    orders = [rng.choices(range(len(calls)), k=24) for _ in range(3)]
+    got = [None] * len(orders)
+
+    def work(i):
+        got[i] = [run(j) for j in orders[i]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,), daemon=True) for i in range(len(orders))]
+        for thread in threads:
+            thread.start()
+        deadline = time.monotonic() + 90  # past the 60 s after which pytest dumps every stack
+        for thread in threads:
+            thread.join(timeout=max(deadline - time.monotonic(), 0))
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for i, order in enumerate(orders):
+        assert got[i] == [serial[j] for j in order], i
+
+
+def test_warm_verdict_allocates_nothing_key_sized():
+    # the n = 23 keys take 3.4 MiB; a warm verdict writes them into its thread's kept buffer
+    # and marks the runs in blocks, so it allocates only small arrays
+    S = basis_minimal_set(23)
+    assert is_resolving(S).resolving
+    tracemalloc.start()
+    try:
+        assert is_resolving(S).resolving
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
+def test_matched_runs_share_no_memory_with_the_key_buffer():
+    # a verdict's runs are arrays of their own: a later verdict rewrites the thread's key
+    # buffer and leaves them as they were
+    is_resolving(basis_minimal_set(23))
+    runs = mdim.resolve._matched_runs(mdim.resolve._signs(20, without_five(20).members))
+    kept = [array.copy() for array in runs]
+    assert is_resolving(without_five(23)).witness == (1, 16)
+    buffer = mdim.resolve._buffers.keys
+    for array, copy in zip(runs, kept):
+        assert not np.shares_memory(array, buffer)
+        assert np.array_equal(array, copy)
 
 
 def test_results_above_the_bruteforce_range_are_pinned():
