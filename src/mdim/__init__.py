@@ -12,6 +12,7 @@ from .core import (
     DIMENSION_CAP,
     PHI,
     Landmarks,
+    VerificationReport,
     Vertex,
     all_ones,
     enumerate_level,
@@ -49,7 +50,6 @@ from .graphs import (
     parse_graph,
 )
 from .resolve import (
-    VerificationReport,
     distance_vector,
     is_minimal,
     is_resolving,

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import Landmarks, all_ones, enumerate_level, singleton
+from .core import Landmarks, all_ones, check_dimension, enumerate_level, singleton
 from .resolve import is_resolving
 
 
@@ -79,6 +79,7 @@ def product_lift(W: Landmarks) -> Landmarks:
     repeated with coordinate n+1 set (its copy in the second layer, at
     distance 1).  Output size is len(W) + 1.
     """
+    check_dimension(W.n + 1)
     if not is_resolving(W).resolving:
         raise ValueError("product_lift needs a resolving input set")
     new_bit = 1 << W.n
@@ -93,6 +94,7 @@ def product_chain_set(n: int) -> Landmarks:
     """
     if n < 2:
         raise ValueError(f"product_chain_set needs n >= 2, got {n}")
+    check_dimension(n)
     if n >= 5:
         W = er_q5_set()
     else:

@@ -101,6 +101,21 @@ class Landmarks:
         return ",".join(format_vertex(v, self.n) for v in self.members)
 
 
+@dataclass(frozen=True)
+class VerificationReport:
+    """Outcome of one resolving-set check.
+
+    ``witness`` is None exactly when ``resolving`` is True; otherwise it is
+    the smallest pair (u, v) with u < v sharing a distance vector
+    (minimal u, then minimal v).
+    """
+
+    resolving: bool
+    witness: tuple[Vertex, Vertex] | None
+    vertices_checked: int
+    elapsed: float
+
+
 def translate_set(S: Landmarks, x: Vertex) -> Landmarks:
     """Translate every member by x, preserving order.
 

@@ -14,8 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .core import check_dimension
-from .resolve import VerificationReport
+from .core import VerificationReport, check_dimension
 
 UNREACHABLE = -1
 

@@ -47,7 +47,9 @@ its matched runs: those are its kernel vectors up to sign, and B_G x and
 B_G (-x) have one support.  Each pair is confirmed exactly against B
 before it counts.  is_minimal runs the verdict of S and one per half of
 its members, splitting a half again only when its pairs, counted from
-the run sizes before any is formed, outnumber that verdict's keys.
+the run sizes before any is formed, outnumber that verdict's keys.  A
+group of one member j goes through is_resolving's own witness routine
+on S - j.
 
 The keys go into a buffer that each thread keeps between verdicts (numpy
 releases the interpreter lock while it sorts, so threads cannot share
@@ -63,29 +65,13 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .core import DIMENSION_CAP, Landmarks, Vertex, check_dimension, check_vertex, hamming_distance
+from .core import DIMENSION_CAP, Landmarks, VerificationReport, Vertex, check_dimension, check_vertex, hamming_distance
 
 DistanceVector = tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    """Outcome of one resolving-set check.
-
-    ``witness`` is None exactly when ``resolving`` is True; otherwise it is
-    the smallest pair (u, v) with u < v sharing a distance vector
-    (minimal u, then minimal v).
-    """
-
-    resolving: bool
-    witness: tuple[Vertex, Vertex] | None
-    vertices_checked: int
-    elapsed: float
 
 
 def distance_vector(v: Vertex, S: Landmarks) -> DistanceVector:
@@ -141,6 +127,11 @@ def _key_buffer(size: int) -> np.ndarray:
     return buffer[:size]
 
 
+def _key_count(h: int, m: int) -> int:
+    """The keys of one verdict over halves of h and m coordinates: 3^h left keys and (3^m + 1)/2 right keys."""
+    return 3**h + (3**m + 1) // 2
+
+
 def _verdict_keys(left: np.ndarray, right: np.ndarray, side: int) -> np.ndarray:
     """The keys of one verdict in one buffer: all left keys, then half the right keys.
 
@@ -156,7 +147,7 @@ def _verdict_keys(left: np.ndarray, right: np.ndarray, side: int) -> np.ndarray:
     m <= len(left) + 1, before the left keys overwrite it.
     """
     h, m = len(left), len(right)
-    keys = _key_buffer(3**h + (3**m + 1) // 2)
+    keys = _key_buffer(_key_count(h, m))
     tagged = keys[3**h:]
     keys[0] = tagged[0] = side
     for t, (plus, minus) in enumerate(_steps(right)):
@@ -228,21 +219,22 @@ def _row_tables(signs: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
     return _tables(signs[:h], -signs[:h]), _tables(-signs[h:], signs[h:])
 
 
-def _kernel_witness(tables: tuple, left: np.ndarray, right: np.ndarray) -> int | None:
+def _kernel_witness(signs: np.ndarray, left: np.ndarray, right: np.ndarray) -> int | None:
     """Smallest rank pos x << n | neg x over nonzero x = +-(y, z) with B x = 0 exactly.
 
     The smallest has pos x < neg x, since -x would give (neg x, pos x).
-    ``tables`` holds the _row_tables of B and the _rank_tables of n;
-    ``left`` and ``right`` index candidate sign vectors y of the first half
-    of the coordinates and z of the second, z = 0 first.  Candidates with
-    equal exact rows B y = -B z form a group, and every (y, z) of a group is
-    a kernel vector, and so is its negative, which needs no z of its own.
+    ``signs`` is the n x k matrix of _signs; ``left`` and ``right`` index
+    candidate sign vectors y of the first half of the coordinates and z of
+    the second, z = 0 first, decoded by the _row_tables of ``signs`` and the
+    _rank_tables of n.  Candidates with equal exact rows B y = -B z form a
+    group, and every (y, z) of a group is a kernel vector, and so is its
+    negative, which needs no z of its own.
     y and z are chosen independently and z holds the higher coordinates, so
     the best x with z != 0 joins a group's smallest-ranked nonzero z with
     its smallest-ranked y, under the ranks of (y, z) or of its negative; the
     best x with z = 0 is the smallest-ranked nonzero y in the group of z = 0.
     """
-    row_tables, rank_tables = tables
+    row_tables, rank_tables = _row_tables(signs), _rank_tables(len(signs))
     rows = np.concatenate([_lookup(left, row_tables[0]), _lookup(right, row_tables[1])])
     # one opaque value per row: np.unique(axis=0) groups the same rows several times slower
     _, group = np.unique(rows.view(np.dtype((np.void, rows.shape[1]))).ravel(), return_inverse=True)
@@ -342,14 +334,13 @@ def _matched_runs(signs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return index[~is_right], index[is_right] - side, marked + 1 - lo, hi - marked - 1
 
 
-def _witness(n: int, members) -> tuple[int, int] | None:
-    """The smallest colliding pair (u, v), u < v, or None when the members resolve Q^n."""
-    signs = _signs(n, members)
+def _witness(signs: np.ndarray) -> tuple[int, int] | None:
+    """The smallest colliding pair (u, v), u < v, or None when the members of the n x k matrix of _signs resolve Q^n."""
     runs = _matched_runs(signs)
     if runs is None:
         return None
-    rank = _kernel_witness((_row_tables(signs), _rank_tables(n)), *runs[:2])
-    return None if rank is None else divmod(rank, 1 << n)
+    rank = _kernel_witness(signs, *runs[:2])
+    return None if rank is None else divmod(rank, 1 << len(signs))
 
 
 def _check(S: Landmarks) -> None:
@@ -368,7 +359,7 @@ def is_resolving(S: Landmarks, *, threads: int = 1) -> VerificationReport:
     """
     _check(S)
     t0 = time.perf_counter()
-    witness = _witness(S.n, S.members)
+    witness = _witness(_signs(S.n, S.members))
     return VerificationReport(
         resolving=witness is None,
         witness=witness,
@@ -401,31 +392,30 @@ def _needed(columns: np.ndarray, group: np.ndarray) -> np.ndarray:
     return single.any(axis=1) & group
 
 
-def _needed_in(signs: np.ndarray, tables: tuple, group: np.ndarray) -> np.ndarray | None:
-    """The needed members of a group (a mask), from one verdict of the members outside it.
+def _needed_in(signs: np.ndarray, rows: tuple, members: np.ndarray) -> np.ndarray:
+    """Which of the members at these indices are needed, as a mask over all k members.
 
-    None when that verdict's candidate pairs outnumber its keys.
-    ``tables`` holds the _row_tables of the whole sign matrix and the
-    _rank_tables of n; a group of one member confirms with the row tables'
-    other columns.
+    One member j is needed when _witness finds S - j fails; a larger group
+    G takes one verdict of S - G, or one per half of G when that verdict's
+    pairs outnumber its keys.  ``rows`` holds the _row_tables of ``signs``.
     """
+    group = np.zeros(signs.shape[1], dtype=bool)
+    group[members] = True
+    if members.size == 1:
+        return group & (_witness(signs[:, ~group]) is not None)
     runs = _matched_runs(signs[:, ~group])
     if runs is None:
         return np.zeros_like(group)  # S - G resolves: every member of G can go
     left, right, lefts, rights = runs
-    (y_rows, z_rows), ranks = tables
-    if group.sum() == 1:
-        rest = [table[:, ~group] for table in y_rows], [table[:, ~group] for table in z_rows]
-        return group & (_kernel_witness((rest, ranks), left, right) is not None)
     n = len(signs)
-    if int((lefts * rights).sum()) > 3 ** (n // 2) + (3 ** (n - n // 2) + 1) // 2:
-        return None
+    if int((lefts * rights).sum()) > _key_count(n // 2, n - n // 2):
+        return np.logical_or.reduce([_needed_in(signs, rows, half) for half in np.array_split(members, 2)])
     needed = np.zeros_like(group)
     # at most _PAIR_BLOCK pairs, whose (pairs, k) int8 rows also fit in _PAIR_BLOCK words
     block = max(_PAIR_BLOCK * 8 // max(len(group), 8), 1)
     for y, z in _pairs(lefts, rights, block):
-        columns = _lookup(left[y], y_rows)
-        columns -= _lookup(right[z], z_rows)
+        columns = _lookup(left[y], rows[0])
+        columns -= _lookup(right[z], rows[1])
         needed |= _needed(columns.T, group)
         if needed[group].all():
             break
@@ -444,27 +434,17 @@ def is_minimal(S: Landmarks, *, threads: int = 1) -> tuple[bool, list[Vertex]]:
     two halves, so a set usually costs three verdicts: S itself, which
     raises ValueError when S does not resolve, and one of S - G per half
     G.  A group whose pairs outnumber its verdict's keys is split in two;
-    a group of one member j is decided as is_resolving decides S - j.
-    ``threads`` is accepted for compatibility and ignored.
+    a group of one member j goes through is_resolving's own witness routine
+    on S - j.  ``threads`` is accepted for compatibility and ignored.
     """
     _check(S)
-    if _witness(S.n, S.members) is not None:
+    signs = _signs(S.n, S.members)
+    if _witness(signs) is not None:
         raise ValueError("minimality is only defined for resolving sets")
     k = len(S.members)
     if k == 1:
         return True, []  # the empty set never resolves (n >= 1)
-    needed = np.zeros(k, dtype=bool)
-    signs = _signs(S.n, S.members)
-    tables = _row_tables(signs), _rank_tables(S.n)
-    groups = np.array_split(np.arange(k), 2)
-    while groups:
-        members = groups.pop()
-        group = np.zeros(k, dtype=bool)
-        group[members] = True
-        found = _needed_in(signs, tables, group)
-        if found is None:
-            groups += np.array_split(members, 2)
-        else:
-            needed |= found
+    rows = _row_tables(signs)
+    needed = np.logical_or.reduce([_needed_in(signs, rows, half) for half in np.array_split(np.arange(k), 2)])
     removable = [s for s, keep in zip(S.members, needed) if not keep]
     return not removable, removable

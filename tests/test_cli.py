@@ -148,6 +148,8 @@ def test_construct_errors_exit_two(capsys):
     assert code == 2 and "n >= 5" in err
     code, _, err = run(capsys, "construct")
     assert code == 2
+    code, out, err = run(capsys, "construct", "--name", "product-chain", "--n", "29")
+    assert (code, out, err) == (2, "", "error: dimension must be an int in 1..28, got 29\n")
 
 
 def test_dimension_q4(capsys):

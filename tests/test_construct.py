@@ -1,5 +1,6 @@
 import pytest
 
+import mdim.construct
 from helpers import naive_is_resolving
 from mdim.construct import (
     CATALOG,
@@ -14,7 +15,7 @@ from mdim.construct import (
     reduced_erdos_renyi_set,
     small_minimum_set,
 )
-from mdim.core import Landmarks, all_ones, format_vertex, singleton, translate_set
+from mdim.core import DIMENSION_CAP, Landmarks, all_ones, format_vertex, singleton, translate_set
 from mdim.resolve import is_minimal, is_resolving
 
 
@@ -113,6 +114,17 @@ def test_product_lift_er_q5_chain():
 def test_product_lift_rejects_non_resolving():
     with pytest.raises(ValueError):
         product_lift(Landmarks(5, (4, 8, 16)))
+
+
+def test_product_chain_refuses_n_above_the_cap_before_it_verifies(monkeypatch):
+    calls = []
+    verify = mdim.construct.is_resolving
+    monkeypatch.setattr(mdim.construct, "is_resolving", lambda S: calls.append(S.n) or verify(S))
+    with pytest.raises(ValueError, match=f"dimension must be an int in 1..{DIMENSION_CAP}, got {DIMENSION_CAP + 1}"):
+        product_chain_set(DIMENSION_CAP + 1)
+    with pytest.raises(ValueError, match=f"got {DIMENSION_CAP + 1}"):
+        product_lift(Landmarks(DIMENSION_CAP, tuple(singleton(i) for i in range(2, DIMENSION_CAP + 1))))
+    assert calls == []
 
 
 def test_product_chain_small_matches_basis_with_phi():

@@ -1,9 +1,11 @@
+import ast
 from random import Random
 
 import pytest
 
+import mdim.graphs
 from helpers import greedy_resolving_set, random_connected_graph, random_landmarks
-from mdim.core import hamming_distance, level, parse_vertex
+from mdim.core import VerificationReport, hamming_distance, level, parse_vertex
 from mdim.graphs import (
     UNREACHABLE,
     bfs_distances,
@@ -16,6 +18,21 @@ from mdim.graphs import (
     parse_graph,
 )
 from mdim.resolve import is_resolving
+
+
+def test_oracle_shares_no_module_with_the_verifier():
+    # the oracle's worth is its independence: it may import core, never resolve, search or numpy
+    with open(mdim.graphs.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+    modules = {part for name in imported for part in name.split(".")}
+    assert not modules & {"resolve", "search", "numpy"}, imported
+    assert mdim.graphs.VerificationReport is VerificationReport
 
 
 def path_graph(n):

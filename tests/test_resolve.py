@@ -146,7 +146,7 @@ def test_resolves_matches_bruteforce():
     for i in range(3000):
         n = rng.randint(1, 12 if i % 4 == 0 else 9)
         S = random_landmarks(rng, n, rng.randint(1, min(1 << n, n + 3)))
-        assert mdim.resolve._witness(n, S.members) == naive_is_resolving(n, S.members)[1], S
+        assert mdim.resolve._witness(mdim.resolve._signs(n, S.members)) == naive_is_resolving(n, S.members)[1], S
 
 
 def test_resolves_matches_bfs_oracle():
@@ -199,7 +199,7 @@ def test_resolves_confirms_key_matches_exactly(colliding_weights):
     for _ in range(300):
         n = rng.randint(1, 10)
         S = random_landmarks(rng, n, rng.randint(1, min(1 << n, n + 3)))
-        assert mdim.resolve._witness(n, S.members) == naive_is_resolving(n, S.members)[1], S
+        assert mdim.resolve._witness(mdim.resolve._signs(n, S.members)) == naive_is_resolving(n, S.members)[1], S
     assert overruled(colliding_weights) >= 50
 
 
@@ -524,7 +524,7 @@ def check_sign_edge_sets(seed):
             expected = naive_is_resolving(n, members)
             u, v = expected[1]
             assert u | v == singleton(i) | singleton(j), (n, kind, members)  # x is supported on i and j
-            assert mdim.resolve._witness(n, members) == expected[1], (n, kind, members)
+            assert mdim.resolve._witness(mdim.resolve._signs(n, members)) == expected[1], (n, kind, members)
             got = is_resolving(Landmarks(n, members))
             assert (got.resolving, got.witness) == expected, (n, kind, members)
             kinds.add((kind, n % 2))
@@ -714,3 +714,29 @@ def test_is_minimal_builds_three_key_sets(monkeypatch):
     monkeypatch.setattr(mdim.resolve, "_verdict_keys", lambda *args: verdicts.append(1) or build(*args))
     assert is_minimal(basis_minimal_set(20)) == (True, [])
     assert len(verdicts) == 3
+
+
+@pytest.mark.parametrize(
+    "n, members, removable, single",
+    [
+        (5, (27, 13, 21, 7, 24), [7, 24], True),
+        (5, (14, 5, 2, 8, 23), [8, 23], True),
+        (7, (122, 100, 103, 84, 82, 45, 22), [82, 45], False),
+        (9, (265, 404, 211, 48, 369, 204, 390), [], False),
+        (11, (648, 1282, 1262, 171, 959, 0, 17, 543, 1599), [], False),
+    ],
+)
+def test_is_minimal_splits_groups_under_the_splitmix_weights(monkeypatch, n, members, removable, single):
+    # sets found by sampling whose halves' pairs outnumber their keys under the real weights:
+    # S itself, two halves and two groups split from one of them make five verdicts
+    build = mdim.resolve._verdict_keys
+    verdicts = []
+    monkeypatch.setattr(mdim.resolve, "_verdict_keys", lambda *args: verdicts.append(1) or build(*args))
+    witness = mdim.resolve._witness
+    widths = []
+    monkeypatch.setattr(mdim.resolve, "_witness", lambda signs: widths.append(signs.shape[1]) or witness(signs))
+    assert is_minimal(Landmarks(n, members)) == (not removable, removable)
+    assert removable == naive_removable(n, members)
+    assert len(verdicts) == 5
+    # the first _witness is S itself; a later one on k - 1 members is a one-member group's
+    assert widths[0] == len(members) and (len(members) - 1 in widths[1:]) == single
