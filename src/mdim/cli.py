@@ -7,6 +7,12 @@ with stable key order, or a human-readable block behind --pretty.
 Exit codes are a contract: 0 = the checked property holds (or the command
 simply succeeded), 1 = the property fails (witness in the payload),
 2 = usage or parse error.
+
+Each cmd_* maps parsed arguments to (inputs, result, exit_code) and reads
+no clock and prints nothing.  main alone times the command from just after
+parsing, renders its one record under the command's name, and turns a
+ValueError or OSError, from the command or the render, into exit 2 with
+one line on stderr.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import sys
 import time
 
 from .construct import CATALOG, catalog_rows
-from .core import Landmarks, format_vertex, parse_landmarks
+from .core import format_vertex, parse_landmarks
 from .graphs import is_resolving_general, load_graph
 from .resolve import is_minimal, is_resolving
 from .search import min_resolving_size
@@ -25,82 +31,58 @@ from .search import min_resolving_size
 SCHEMA_VERSION = "2"
 
 
-def _emit(args, command: str, inputs: dict, result: dict, t0: float) -> None:
-    elapsed_ms = int(round((time.perf_counter() - t0) * 1000))
+def _render(args, inputs: dict, result: dict, elapsed_ms: int) -> str:
     if args.pretty:
-        print(f"command: {command}")
-        for key, value in inputs.items():
-            print(f"  {key}: {value}")
-        print("result:")
-        for key, value in result.items():
-            print(f"  {key}: {value}")
-        print(f"elapsed_ms: {elapsed_ms}")
-        return
+        return "\n".join([
+            f"command: {args.command}",
+            *(f"  {key}: {value}" for key, value in inputs.items()),
+            "result:",
+            *(f"  {key}: {value}" for key, value in result.items()),
+            f"elapsed_ms: {elapsed_ms}",
+        ])
     record = {
         "schema_version": SCHEMA_VERSION,
-        "command": command,
+        "command": args.command,
         "inputs": inputs,
         "result": result,
         "elapsed_ms": elapsed_ms,
     }
-    print(json.dumps(record, separators=(",", ":")))
+    return json.dumps(record, separators=(",", ":"))
 
 
-def _fmt_members(S: Landmarks) -> list[str]:
-    return [format_vertex(v, S.n) for v in S.members]
+def _fmt(vertices, n: int) -> list[str] | None:
+    return None if vertices is None else [format_vertex(v, n) for v in vertices]
 
 
-def _fmt_witness(witness, n: int):
-    if witness is None:
-        return None
-    return [format_vertex(witness[0], n), format_vertex(witness[1], n)]
+def _verdict(report, witness) -> tuple[dict, int]:
+    result = {"resolving": report.resolving, "witness": witness, "vertices_checked": report.vertices_checked}
+    return result, 0 if report.resolving else 1
 
 
-def cmd_verify(args) -> int:
-    t0 = time.perf_counter()
+def cmd_verify(args) -> tuple[dict, dict, int]:
     S = parse_landmarks(args.set, args.n)
     report = is_resolving(S)
-    inputs = {"n": args.n, "set": _fmt_members(S), "fast": bool(args.fast)}
+    inputs = {"n": args.n, "set": _fmt(S.members, args.n), "fast": bool(args.fast)}
+    return inputs, *_verdict(report, _fmt(report.witness, args.n))
+
+
+def cmd_minimal(args) -> tuple[dict, dict, int]:
+    S = parse_landmarks(args.set, args.n)
+    report = is_resolving(S)
+    minimal, removable = is_minimal(S) if report.resolving else (None, None)
+    inputs = {"n": args.n, "set": _fmt(S.members, args.n)}
     result = {
         "resolving": report.resolving,
-        "witness": _fmt_witness(report.witness, args.n),
-        "vertices_checked": report.vertices_checked,
-    }
-    _emit(args, "verify", inputs, result, t0)
-    return 0 if report.resolving else 1
-
-
-def cmd_minimal(args) -> int:
-    t0 = time.perf_counter()
-    S = parse_landmarks(args.set, args.n)
-    report = is_resolving(S)
-    inputs = {"n": args.n, "set": _fmt_members(S)}
-    if not report.resolving:
-        result = {
-            "resolving": False,
-            "witness": _fmt_witness(report.witness, args.n),
-            "minimal": None,
-            "removable": None,
-        }
-        _emit(args, "minimal", inputs, result, t0)
-        return 1
-    minimal, removable = is_minimal(S)
-    result = {
-        "resolving": True,
-        "witness": None,
+        "witness": _fmt(report.witness, args.n),
         "minimal": minimal,
-        "removable": [format_vertex(v, args.n) for v in removable],
+        "removable": _fmt(removable, args.n),
     }
-    _emit(args, "minimal", inputs, result, t0)
-    return 0
+    return inputs, result, 0 if report.resolving else 1
 
 
-def cmd_construct(args) -> int:
-    t0 = time.perf_counter()
+def cmd_construct(args) -> tuple[dict, dict, int]:
     if args.list:
-        inputs = {"name": None, "n": None, "k": None}
-        _emit(args, "construct", inputs, {"catalog": catalog_rows()}, t0)
-        return 0
+        return {"name": None, "n": None, "k": None}, {"catalog": catalog_rows()}, 0
     if not args.name:
         raise ValueError("construct needs --name or --list")
     entry = CATALOG.get(args.name)
@@ -111,29 +93,25 @@ def cmd_construct(args) -> int:
     result = {
         "n": S.n,
         "size": len(S),
-        "members": _fmt_members(S),
+        "members": _fmt(S.members, S.n),
         "description": entry.description,
     }
-    _emit(args, "construct", inputs, result, t0)
-    return 0
+    return inputs, result, 0
 
 
-def cmd_dimension(args) -> int:
-    t0 = time.perf_counter()
+def cmd_dimension(args) -> tuple[dict, dict, int]:
     report = min_resolving_size(args.n, max_k=args.max_k, force=args.force)
     inputs = {"n": args.n, "max_k": args.max_k, "force": bool(args.force)}
     result = {
         "min_size": report.min_size,
-        "example": _fmt_members(report.example),
+        "example": _fmt(report.example.members, args.n),
         "subsets_examined": report.subsets_examined,
         "exhaustive": report.exhaustive,
     }
-    _emit(args, "dimension", inputs, result, t0)
-    return 0
+    return inputs, result, 0
 
 
-def cmd_graph_verify(args) -> int:
-    t0 = time.perf_counter()
+def cmd_graph_verify(args) -> tuple[dict, dict, int]:
     g = load_graph(args.graph)
     tokens = [tok.strip() for tok in args.landmarks.split(",")]
     if not all(tok.isascii() and tok.isdigit() for tok in tokens):
@@ -141,13 +119,7 @@ def cmd_graph_verify(args) -> int:
     landmarks = [int(tok) for tok in tokens]
     report = is_resolving_general(g, landmarks)
     inputs = {"graph": args.graph, "landmarks": landmarks}
-    result = {
-        "resolving": report.resolving,
-        "witness": list(report.witness) if report.witness else None,
-        "vertices_checked": report.vertices_checked,
-    }
-    _emit(args, "graph-verify", inputs, result, t0)
-    return 0 if report.resolving else 1
+    return inputs, *_verdict(report, list(report.witness) if report.witness else None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -201,13 +173,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
+        inputs, result, code = args.func(args)
+        elapsed_ms = int(round((time.perf_counter() - t0) * 1000))
+        print(_render(args, inputs, result, elapsed_ms))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

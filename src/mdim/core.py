@@ -35,12 +35,13 @@ PHI: Vertex = 0
 
 
 def check_dimension(n: int) -> None:
-    if not isinstance(n, int) or not 1 <= n <= DIMENSION_CAP:
+    # bool is an int subclass, but True is no dimension and no vertex
+    if type(n) is not int or not 1 <= n <= DIMENSION_CAP:
         raise ValueError(f"dimension must be an int in 1..{DIMENSION_CAP}, got {n!r}")
 
 
 def check_vertex(v: Vertex, n: int) -> None:
-    if not isinstance(v, int) or v < 0 or v >> n:
+    if type(v) is not int or v < 0 or v >> n:
         raise ValueError(f"vertex {v!r} does not fit in coordinates 1..{n}")
 
 

@@ -19,6 +19,8 @@ from .core import VerificationReport, check_dimension
 UNREACHABLE = -1
 
 # Adjacency for Q^n has n * 2^(n-1) edges; 16 keeps materialization sane.
+# A graph file may declare at most the 2^16 vertices of that Q^16: each
+# declared vertex costs one adjacency list before any edge is read.
 HYPERCUBE_CAP = 16
 
 
@@ -136,8 +138,10 @@ def cartesian_product_k2(g: Graph) -> Graph:
 def parse_graph(text: str) -> Graph:
     """Parse the edge-list format: '#' comments, then 'p <count>', then 'u v' lines.
 
-    Edges go lazily to graph_from_edges, which checks range, self-loops and
-    duplicates; any error after the 'p' line names the line that raised it.
+    A count above 2^HYPERCUBE_CAP is refused before anything is allocated
+    for it.  Edges go lazily to graph_from_edges, which checks the count,
+    range, self-loops and duplicates; any error after the 'p' line's shape
+    is checked names the line that raised it.
     """
     lines = (
         (lineno, raw, raw.split("#", 1)[0].split())
@@ -150,9 +154,6 @@ def parse_graph(text: str) -> Graph:
     lineno, raw, fields = header
     if fields[0] != "p" or len(fields) != 2 or not (fields[1].isascii() and fields[1].isdigit()):
         raise ValueError(f"line {lineno}: expected 'p <vertex_count>', got {raw!r}")
-    vertex_count = int(fields[1])
-    if vertex_count < 1:
-        raise ValueError(f"line {lineno}: vertex count must be >= 1")
 
     def edges() -> Iterator[tuple[int, int]]:
         nonlocal lineno
@@ -164,6 +165,9 @@ def parse_graph(text: str) -> Graph:
             yield int(fields[0]), int(fields[1])
 
     try:
+        vertex_count = int(fields[1])
+        if vertex_count > 1 << HYPERCUBE_CAP:
+            raise ValueError(f"vertex count must be at most {1 << HYPERCUBE_CAP}, got {vertex_count}")
         return graph_from_edges(vertex_count, edges())
     except ValueError as exc:
         raise ValueError(f"line {lineno}: {exc}") from None

@@ -300,11 +300,13 @@ def _first_hit(n: int, k: int) -> tuple[int, ...]:
     other member by member, and being contained in a resolving k-set is
     invariant under coordinate permutations.
     """
-    prefix = (0,)
+    prefix, columns = (0,), [0] * n
     while len(prefix) < k:
         ruled_out: set[tuple[int, ...]] = set()
         for v in range(prefix[-1] + 1, 1 << n):
-            shape = tuple(sorted(_columns(n, prefix + (v,))))
+            # v appended at index t = len(prefix): bit t of column i is bit i of v
+            grown = [c | (v >> i & 1) << len(prefix) for i, c in enumerate(columns)]
+            shape = tuple(sorted(grown))
             if shape in ruled_out:
                 continue
             if _extends(n, k, prefix + (v,)):
@@ -312,7 +314,7 @@ def _first_hit(n: int, k: int) -> tuple[int, ...]:
             ruled_out.add(shape)
         else:
             raise AssertionError(f"no resolving {k}-set contains {prefix}")
-        prefix += (v,)
+        prefix, columns = prefix + (v,), grown
     return prefix
 
 
@@ -364,26 +366,21 @@ def min_resolving_size(
     examined = 0
     for k in range(1, max_k + 1):
         if _extends(n, k, (0,)):
-            example = Landmarks(n, _first_hit(n, k))
+            example, exhaustive = Landmarks(n, _first_hit(n, k)), True
             assert is_resolving(example).resolving
-            return SearchReport(
-                n=n,
-                min_size=k,
-                example=example,
-                subsets_examined=examined + _lex_rank(example.members[1:], pool) + 1,
-                elapsed=time.perf_counter() - t0,
-                exhaustive=True,
-            )
+            examined += _lex_rank(example.members[1:], pool) + 1
+            break
         # no hit at size k: the whole stratum counts as examined
         examined += comb(pool, k - 1)
-    fallback = best_construction(n)
+    else:
+        example, exhaustive = best_construction(n), False
     return SearchReport(
         n=n,
-        min_size=len(fallback),
-        example=fallback,
+        min_size=len(example),
+        example=example,
         subsets_examined=examined,
         elapsed=time.perf_counter() - t0,
-        exhaustive=False,
+        exhaustive=exhaustive,
     )
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -270,3 +271,217 @@ def test_usage_error_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--n", "5"])  # missing --set
     assert exc.value.code == 2
+
+
+# Whole records, key order included, for a fixed list of invocations: the
+# elapsed_ms value is masked and <tmp> stands for the graph-file directory.
+GOLDEN = [
+    (
+        ['verify', '--n', '5', '--set', '01000,00100,00010,00001'], 0,
+        (
+            '{"schema_version":"2","command":"verify","inputs":{"n":5,"set":["01000",'
+            '"00100","00010","00001"],"fast":false},"result":{"resolving":true,'
+            '"witness":null,"vertices_checked":32},"elapsed_ms":0}\n'
+        ),
+        '',
+    ),
+    (
+        ['verify', '--n', '5', '--set', '00100,00010,00001'], 1,
+        (
+            '{"schema_version":"2","command":"verify","inputs":{"n":5,"set":["00100",'
+            '"00010","00001"],"fast":false},"result":{"resolving":false,'
+            '"witness":["10000","01000"],"vertices_checked":32},"elapsed_ms":0}\n'
+        ),
+        '',
+    ),
+    (
+        ['verify', '--n', '6', '--set', '010000,001000,000100,000010,000001', '--fast'], 0,
+        (
+            '{"schema_version":"2","command":"verify","inputs":{"n":6,'
+            '"set":["010000","001000","000100","000010","000001"],"fast":true},'
+            '"result":{"resolving":true,"witness":null,"vertices_checked":64},'
+            '"elapsed_ms":0}\n'
+        ),
+        '',
+    ),
+    (
+        ['verify', '--n', '6', '--set', '010000,001000,000100,000010,000001', '--threads', '4'], 0,
+        (
+            '{"schema_version":"2","command":"verify","inputs":{"n":6,'
+            '"set":["010000","001000","000100","000010","000001"],"fast":false},'
+            '"result":{"resolving":true,"witness":null,"vertices_checked":64},'
+            '"elapsed_ms":0}\n'
+        ),
+        '',
+    ),
+    (
+        ['verify', '--n', '4', '--set', '0000,1000,0100,0010', '--pretty'], 0,
+        (
+            "command: verify\n  n: 4\n  set: ['0000', '1000', '0100', '0010']\n"
+            '  fast: False\nresult:\n  resolving: True\n  witness: None\n'
+            '  vertices_checked: 16\nelapsed_ms: 0\n'
+        ),
+        '',
+    ),
+    (
+        ['verify', '--n', '5', '--set', '00100,0001,00001'], 2,
+        '',
+        "error: landmark 2: binary form needs exactly 5 digits, got 4 in '0001'\n",
+    ),
+    (
+        ['minimal', '--n', '5', '--set', '01000,00100,00010,00001'], 0,
+        (
+            '{"schema_version":"2","command":"minimal","inputs":{"n":5,'
+            '"set":["01000","00100","00010","00001"]},"result":{"resolving":true,'
+            '"witness":null,"minimal":true,"removable":[]},"elapsed_ms":0}\n'
+        ),
+        '',
+    ),
+    (
+        ['minimal', '--n', '5', '--set', '11111,01111,10111,11011,11101'], 0,
+        (
+            '{"schema_version":"2","command":"minimal","inputs":{"n":5,'
+            '"set":["11111","01111","10111","11011","11101"]},'
+            '"result":{"resolving":true,"witness":null,"minimal":false,'
+            '"removable":["11111"]},"elapsed_ms":0}\n'
+        ),
+        '',
+    ),
+    (
+        ['minimal', '--n', '5', '--set', '00100,00010,00001'], 1,
+        (
+            '{"schema_version":"2","command":"minimal","inputs":{"n":5,'
+            '"set":["00100","00010","00001"]},"result":{"resolving":false,'
+            '"witness":["10000","01000"],"minimal":null,"removable":null},'
+            '"elapsed_ms":0}\n'
+        ),
+        '',
+    ),
+    (
+        ['minimal', '--n', '5', '--set', '00100,00010,00001', '--pretty'], 1,
+        (
+            "command: minimal\n  n: 5\n  set: ['00100', '00010', '00001']\nresult:\n"
+            "  resolving: False\n  witness: ['10000', '01000']\n  minimal: None\n"
+            '  removable: None\nelapsed_ms: 0\n'
+        ),
+        '',
+    ),
+    (
+        ['construct', '--name', 'er-reduced', '--n', '5'], 0,
+        (
+            '{"schema_version":"2","command":"construct",'
+            '"inputs":{"name":"er-reduced","n":5,"k":null},"result":{"n":5,"size":4,'
+            '"members":["01111","10111","11011","11101"],'
+            '"description":"all-ones with one zero in coordinate i,'
+            ' i=1..n-1; minimal resolving set"},"elapsed_ms":0}\n'
+        ),
+        '',
+    ),
+    (
+        ['construct', '--name', 'level', '--n', '4', '--k', '2', '--pretty'], 0,
+        (
+            'command: construct\n  name: level\n  n: 4\n  k: 2\nresult:\n  n: 4\n  size: 6\n'
+            "  members: ['1100', '1010', '0110', '1001', '0101', '0011']\n"
+            '  description: every vertex with exactly k ones\nelapsed_ms: 0\n'
+        ),
+        '',
+    ),
+    (
+        ['construct', '--list'], 0,
+        (
+            '{"schema_version":"2","command":"construct","inputs":{"name":null,'
+            '"n":null,"k":null},"result":{"catalog":[{"name":"basis-minimal",'
+            '"params":"n >= 5","size":"n-1","description":"singletons {2},...,'
+            '{n}; minimal resolving set"},{"name":"er-reduced","params":"n >= 5",'
+            '"size":"n-1","description":"all-ones with one zero in coordinate i,'
+            ' i=1..n-1; minimal resolving set"},{"name":"erdos-renyi",'
+            '"params":"n >= 2","size":"n",'
+            '"description":"Erdos-Renyi size-n resolving set: all-ones plus er-reduced; not minimal for n >= 5"},'
+            '{"name":"er-q5","params":"n = 5","size":"4",'
+            '"description":"Erdos-Renyi 4-vertex resolving set for Q^5"},'
+            '{"name":"small-min","params":"1 <= n <= 4","size":"n",'
+            '"description":"minimum resolving sets for the smallest cubes"},'
+            '{"name":"product-chain","params":"n >= 2","size":"n-1 for n >= 5,'
+            ' else n","description":"K2-product lift chained from a small base set"},'
+            '{"name":"level","params":"n >= 2, 1 <= k <= n-1","size":"C(n,k)",'
+            '"description":"every vertex with exactly k ones"}]},"elapsed_ms":0}\n'
+        ),
+        '',
+    ),
+    (
+        ['construct', '--name', 'nope'], 2,
+        '',
+        (
+            "error: unknown construction 'nope'; valid: basis-minimal, er-q5,"
+            ' er-reduced, erdos-renyi, level, product-chain, small-min\n'
+        ),
+    ),
+    (
+        ['construct'], 2,
+        '',
+        'error: construct needs --name or --list\n',
+    ),
+    (
+        ['dimension', '--n', '4'], 0,
+        (
+            '{"schema_version":"2","command":"dimension","inputs":{"n":4,'
+            '"max_k":null,"force":false},"result":{"min_size":4,"example":["0000",'
+            '"1000","0100","0010"],"subsets_examined":123,"exhaustive":true},'
+            '"elapsed_ms":0}\n'
+        ),
+        '',
+    ),
+    (
+        ['dimension', '--n', '5', '--max-k', '3'], 0,
+        (
+            '{"schema_version":"2","command":"dimension","inputs":{"n":5,"max_k":3,'
+            '"force":false},"result":{"min_size":4,"example":["01111","10111",'
+            '"11011","11101"],"subsets_examined":497,"exhaustive":false},'
+            '"elapsed_ms":0}\n'
+        ),
+        '',
+    ),
+    (
+        ['dimension', '--n', '9'], 2,
+        '',
+        'error: exhaustive search above n=8 must be forced explicitly (n=9)\n',
+    ),
+    (
+        ['graph-verify', '--graph', '<tmp>/p3.txt', '--landmarks', '0'], 0,
+        (
+            '{"schema_version":"2","command":"graph-verify",'
+            '"inputs":{"graph":"<tmp>/p3.txt","landmarks":[0]},'
+            '"result":{"resolving":true,"witness":null,"vertices_checked":3},'
+            '"elapsed_ms":0}\n'
+        ),
+        '',
+    ),
+    (
+        ['graph-verify', '--graph', '<tmp>/c4.txt', '--landmarks', '0', '--pretty'], 1,
+        (
+            'command: graph-verify\n  graph: <tmp>/c4.txt\n  landmarks: [0]\nresult:\n'
+            '  resolving: False\n  witness: [1, 3]\n  vertices_checked: 4\n'
+            'elapsed_ms: 0\n'
+        ),
+        '',
+    ),
+    (
+        ['graph-verify', '--graph', '<tmp>/none.txt', '--landmarks', '0'], 2,
+        '',
+        "error: [Errno 2] No such file or directory: '<tmp>/none.txt'\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", GOLDEN, ids=[" ".join(case[0]) for case in GOLDEN])
+def test_golden_records(tmp_path, capsys, argv, code, out, err):
+    (tmp_path / "p3.txt").write_text("p 3\n0 1\n1 2\n")
+    (tmp_path / "c4.txt").write_text("p 4\n0 1\n1 2\n2 3\n3 0\n")
+    got = run(capsys, *(arg.replace("<tmp>", str(tmp_path)) for arg in argv))
+
+    def mask(text):
+        text = re.sub(r'"elapsed_ms":\d+', '"elapsed_ms":0', text)
+        text = re.sub(r"elapsed_ms: \d+", "elapsed_ms: 0", text)
+        return text.replace(str(tmp_path), "<tmp>")
+
+    assert (got[0], mask(got[1]), mask(got[2])) == (code, out, err)

@@ -2,6 +2,7 @@ import itertools
 from math import comb
 from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -23,6 +24,7 @@ from mdim.core import (
     translate,
     translate_set,
 )
+from mdim.search import min_resolving_size
 
 # (text, n, expected int): the binary string's leftmost digit is coordinate 1
 PARSE_CASES = [
@@ -117,6 +119,22 @@ def test_landmarks_validation():
         Landmarks(DIMENSION_CAP + 1, (0,))
     with pytest.raises(ValueError):
         check_vertex(-1, 4)
+
+
+def test_bool_is_neither_a_dimension_nor_a_vertex():
+    # bool subclasses int: True was taken as Q^1 and kept as a member, and
+    # min_resolving_size(True) failed inside numpy with a TypeError
+    with pytest.raises(ValueError, match="dimension must be an int"):
+        Landmarks(True, (0,))
+    with pytest.raises(ValueError, match="vertex True"):
+        Landmarks(3, (True, 2))
+    with pytest.raises(ValueError, match="dimension must be an int"):
+        min_resolving_size(True)
+    # numpy integers were never accepted, and still are not
+    with pytest.raises(ValueError):
+        Landmarks(np.int64(3), (0,))
+    with pytest.raises(ValueError):
+        Landmarks(3, (np.int64(1),))
 
 
 def test_landmark_order_is_significant():

@@ -1,4 +1,5 @@
 import ast
+import tracemalloc
 from random import Random
 
 import pytest
@@ -200,8 +201,25 @@ p 3
         ("p 3\n0 +1\n", "line 2: endpoints"),
         ("p 3\n0 \u0661\n", "line 2: endpoints"),
         ("p \u00b2\n", "line 1: expected"),
+        ("p 65537\n", "line 1"),
+        # int() refuses more than 4,300 digits
+        ("p " + "9" * 5000 + "\n", "line 1"),
     ],
 )
 def test_parse_graph_errors(text, fragment):
     with pytest.raises(ValueError, match=fragment):
         parse_graph(text)
+
+
+def test_parse_graph_caps_the_vertex_count_before_allocating():
+    # one adjacency list per declared vertex came before any edge was read
+    g = parse_graph("p 65536\n0 1\n")
+    assert g.vertex_count == 65536 and g.adjacency[:2] == ((1,), (0,))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="line 1: vertex count must be at most 65536, got 65537"):
+            parse_graph("p 65537\n0 1\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
