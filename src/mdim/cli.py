@@ -25,7 +25,7 @@ import time
 from .construct import CATALOG, catalog_rows
 from .core import format_vertex, parse_landmarks
 from .graphs import is_resolving_general, load_graph
-from .resolve import is_minimal, is_resolving
+from .resolve import _minimality, _signs, is_resolving
 from .search import min_resolving_size
 
 SCHEMA_VERSION = "2"
@@ -69,7 +69,8 @@ def cmd_verify(args) -> tuple[dict, dict, int]:
 def cmd_minimal(args) -> tuple[dict, dict, int]:
     S = parse_landmarks(args.set, args.n)
     report = is_resolving(S)
-    minimal, removable = is_minimal(S) if report.resolving else (None, None)
+    # the verdict of S is in the report: _minimality runs only its groups' verdicts
+    minimal, removable = _minimality(_signs(S.n, S.members), S.members) if report.resolving else (None, None)
     inputs = {"n": args.n, "set": _fmt(S.members, args.n)}
     result = {
         "resolving": report.resolving,

@@ -9,7 +9,7 @@ golden tests stay byte-stable.  The families:
 * er_q5_set              -- the classical 4-vertex set resolving Q^5
 * small_minimum_set      -- minimum resolving sets for n <= 4
 * product_lift           -- lift a resolving set of Q^n to one of Q^{n+1}
-* product_chain_set      -- iterate product_lift from a small base set
+* product_chain_set      -- product_lift chained from a small base set, in closed form
 * level_set_landmarks    -- every vertex of one level
 * best_construction      -- smallest family available at a given n
 """
@@ -87,33 +87,37 @@ def product_lift(W: Landmarks) -> Landmarks:
 
 
 def product_chain_set(n: int) -> Landmarks:
-    """Chain product_lift up to dimension n.
+    """The base set of Q^b, then m0 | e_i for i = b+1..n, where m0 is the base's first member.
 
-    Starts from the 4-vertex Q^5 set for n >= 5 (giving size n-1) and from
-    {phi, e_2} for 2 <= n <= 4 (giving size n).
+    The base is the 4-vertex Q^5 set for n >= 5 (giving size n-1) and
+    {phi, e_2} for 2 <= n <= 4 (giving size n).  This is what chaining
+    product_lift from the base up to dimension n returns, built without
+    its verdicts, since the K2-product lift lemma (Caceres et al., On the
+    metric dimension of Cartesian products of graphs, SIAM J. Discrete
+    Math. 2007) already settles them: d(v, m0) - d(v, m0 | e_i) = 2 v_i - 1
+    reads coordinate i of v, and the base members, zero above b, resolve
+    the first b coordinates once the rest are known.
     """
     if n < 2:
         raise ValueError(f"product_chain_set needs n >= 2, got {n}")
     check_dimension(n)
-    if n >= 5:
-        W = er_q5_set()
-    else:
-        W = Landmarks(2, (0, singleton(2)))
-    while W.n < n:
-        W = product_lift(W)
-    return W
+    base = er_q5_set() if n >= 5 else Landmarks(2, (0, singleton(2)))
+    m0 = base.members[0]
+    return Landmarks(n, base.members + tuple(m0 | 1 << i for i in range(base.n, n)))
 
 
 def level_set_landmarks(n: int, k: int) -> Landmarks:
     """All C(n,k) vertices of level k, in increasing numeric order.
 
-    Accepted for 1 <= k <= n-1.  At desk scale every such set resolves
-    except the middle level k = n/2 of an even cube, which never can:
-    complementation flips distances (d(~u, s) = n - d(u, s)), so the empty
-    and the full set share the all-(n/2) distance vector there.  Whether
-    the interior levels contain *minimal* resolving subsets is not settled
-    and nothing beyond the computed is_minimal result is claimed.
+    Accepted for n >= 2 and 1 <= k <= n-1.  At desk scale every such set
+    resolves except the middle level k = n/2 of an even cube, which never
+    can: complementation flips distances (d(~u, s) = n - d(u, s)), so the
+    empty and the full set share the all-(n/2) distance vector there.
+    Whether the interior levels contain *minimal* resolving subsets is not
+    settled and nothing beyond the computed is_minimal result is claimed.
     """
+    if n < 2:
+        raise ValueError(f"level_set_landmarks needs n >= 2, got {n}")
     if not 1 <= k <= n - 1:
         raise ValueError(f"level must be in 1..{n - 1}, got {k}")
     return Landmarks(n, tuple(enumerate_level(n, k)))

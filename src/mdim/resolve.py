@@ -422,6 +422,21 @@ def _needed_in(signs: np.ndarray, rows: tuple, members: np.ndarray) -> np.ndarra
     return needed
 
 
+def _minimality(signs: np.ndarray, members: tuple[Vertex, ...]) -> tuple[bool, list[Vertex]]:
+    """is_minimal's answer for the members of a resolving set, given their n x k matrix of _signs.
+
+    The caller has run the verdict of the whole set; this runs only the
+    verdicts of its groups.
+    """
+    k = len(members)
+    if k == 1:
+        return True, []  # the empty set never resolves (n >= 1)
+    rows = _row_tables(signs)
+    needed = np.logical_or.reduce([_needed_in(signs, rows, half) for half in np.array_split(np.arange(k), 2)])
+    removable = [s for s, keep in zip(members, needed) if not keep]
+    return not removable, removable
+
+
 def is_minimal(S: Landmarks, *, threads: int = 1) -> tuple[bool, list[Vertex]]:
     """Which members can be deleted with the rest still resolving?
 
@@ -441,10 +456,4 @@ def is_minimal(S: Landmarks, *, threads: int = 1) -> tuple[bool, list[Vertex]]:
     signs = _signs(S.n, S.members)
     if _witness(signs) is not None:
         raise ValueError("minimality is only defined for resolving sets")
-    k = len(S.members)
-    if k == 1:
-        return True, []  # the empty set never resolves (n >= 1)
-    rows = _row_tables(signs)
-    needed = np.logical_or.reduce([_needed_in(signs, rows, half) for half in np.array_split(np.arange(k), 2)])
-    removable = [s for s, keep in zip(S.members, needed) if not keep]
-    return not removable, removable
+    return _minimality(signs, S.members)

@@ -7,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
+import mdim.resolve
 from mdim.cli import main
-from mdim.core import parse_vertex
+from mdim.construct import basis_minimal_set
+from mdim.core import format_vertex, parse_vertex
 
 
 def run(capsys, *argv):
@@ -107,6 +109,17 @@ def test_minimal_of_padded_set(capsys):
     assert record["result"]["removable"] != []
 
 
+def test_minimal_runs_the_verdict_of_the_set_once(capsys, monkeypatch):
+    # the verdict of S, then one per half of its members
+    build = mdim.resolve._verdict_keys
+    verdicts = []
+    monkeypatch.setattr(mdim.resolve, "_verdict_keys", lambda *args: verdicts.append(1) or build(*args))
+    S = basis_minimal_set(20)
+    code, record = run_record(capsys, "minimal", "--n", "20", "--set", ",".join(format_vertex(v, 20) for v in S))
+    assert (code, record["result"]["minimal"], record["result"]["removable"]) == (0, True, [])
+    assert len(verdicts) == 3
+
+
 def test_minimal_rejects_non_resolving_with_exit_one(capsys):
     code, record = run_record(capsys, "minimal", "--n", "5", "--set", "00100,00010,00001")
     assert code == 1
@@ -151,6 +164,8 @@ def test_construct_errors_exit_two(capsys):
     assert code == 2
     code, out, err = run(capsys, "construct", "--name", "product-chain", "--n", "29")
     assert (code, out, err) == (2, "", "error: dimension must be an int in 1..28, got 29\n")
+    code, out, err = run(capsys, "construct", "--name", "level", "--n", "1", "--k", "1")
+    assert (code, out, err) == (2, "", "error: level_set_landmarks needs n >= 2, got 1\n")
 
 
 def test_dimension_q4(capsys):

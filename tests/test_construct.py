@@ -1,6 +1,7 @@
 import pytest
 
 import mdim.construct
+import mdim.resolve
 from helpers import naive_is_resolving
 from mdim.construct import (
     CATALOG,
@@ -16,11 +17,19 @@ from mdim.construct import (
     small_minimum_set,
 )
 from mdim.core import DIMENSION_CAP, Landmarks, all_ones, format_vertex, singleton, translate_set
+from mdim.graphs import build_hypercube, is_resolving_general
 from mdim.resolve import is_minimal, is_resolving
 
 
 def fmt(S):
     return [format_vertex(v, S.n) for v in S.members]
+
+
+def spy_on_verdicts(monkeypatch):
+    build = mdim.resolve._verdict_keys
+    verdicts = []
+    monkeypatch.setattr(mdim.resolve, "_verdict_keys", lambda *args: verdicts.append(1) or build(*args))
+    return verdicts
 
 
 def test_basis_minimal_set_golden():
@@ -111,6 +120,12 @@ def test_product_lift_er_q5_chain():
     assert naive_is_resolving(6, lifted.members)[0]
 
 
+def test_product_lift_runs_one_verdict(monkeypatch):
+    verdicts = spy_on_verdicts(monkeypatch)
+    assert product_lift(er_q5_set()) == product_chain_set(6)
+    assert len(verdicts) == 1
+
+
 def test_product_lift_rejects_non_resolving():
     with pytest.raises(ValueError):
         product_lift(Landmarks(5, (4, 8, 16)))
@@ -125,6 +140,27 @@ def test_product_chain_refuses_n_above_the_cap_before_it_verifies(monkeypatch):
     with pytest.raises(ValueError, match=f"got {DIMENSION_CAP + 1}"):
         product_lift(Landmarks(DIMENSION_CAP, tuple(singleton(i) for i in range(2, DIMENSION_CAP + 1))))
     assert calls == []
+
+
+@pytest.mark.parametrize("n", range(2, DIMENSION_CAP + 1))
+def test_product_chain_closed_form_matches_the_lift_chain(n):
+    # the closed form against product_lift applied from the same base, each lift verified
+    W = er_q5_set() if n >= 5 else Landmarks(2, (0, singleton(2)))
+    while W.n < n:
+        W = product_lift(W)
+    S = product_chain_set(n)
+    assert S == W
+    assert is_resolving(S).resolving
+    if n <= 10:
+        assert is_resolving_general(build_hypercube(n), list(S.members)).resolving
+    if n <= 12:
+        assert naive_is_resolving(n, S.members) == (True, None)
+
+
+def test_product_chain_runs_no_verdict(monkeypatch):
+    verdicts = spy_on_verdicts(monkeypatch)
+    assert len(product_chain_set(DIMENSION_CAP)) == DIMENSION_CAP - 1
+    assert verdicts == []
 
 
 def test_product_chain_small_matches_basis_with_phi():
@@ -151,6 +187,8 @@ def test_level_set_landmarks():
     for bad in (0, 5):
         with pytest.raises(ValueError):
             level_set_landmarks(5, bad)
+    with pytest.raises(ValueError, match="level_set_landmarks needs n >= 2, got 1"):
+        level_set_landmarks(1, 1)
 
 
 def test_level_sets_resolve_except_even_middle():
