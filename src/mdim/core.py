@@ -73,7 +73,7 @@ def level(v: Vertex) -> int:
     return v.bit_count()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Landmarks:
     """An ordered candidate resolving set for Q^n.
 

@@ -15,13 +15,16 @@ vertex sets.
 _extends asks the same of a sorted prefix (0, p_1, ..., p_t): the
 coordinates whose prefix columns are equal form a cell, and the
 completion's rows give each cell distinct columns.  A stratum is decided
-by the prefix (0,).  The report's example, the lexicographically first
-phi-normalized hit, is found by greedy prefix extension, and
-subsets_examined is that example's 1-based position in the plain
-enumeration (smaller strata in full, then lexicographic order), computed
-by arithmetic.  The plain scan over every phi-containing k-subset stays
-for find_all_min_sets, which lists every hit, and as the reference the
-tests compare against.
+by the prefix (0,); strata below the counting and column-lemma bounds
+are excluded without one.  The report's example, the lexicographically
+first phi-normalized hit, is found by greedy prefix extension until the
+prefix's completions fit in one block, and the plain scan of that block
+finishes it (C(57, 2) = 1,596 completions of (0, 1, 6) at n = 6; the
+whole stratum for n <= 5).  subsets_examined is the example's 1-based
+position in the plain enumeration (smaller strata in full, then
+lexicographic order), computed by arithmetic.  The plain scan over every
+phi-containing k-subset also serves find_all_min_sets, which lists every
+hit, and is the reference the tests compare against.
 
 Both scans grow their candidates by one technique, _children: depth
 first, one position at a time, children ascending after their parent.
@@ -48,6 +51,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import count
 from math import comb
 from typing import Iterator
 
@@ -82,9 +86,10 @@ class SearchReport:
     """Result of a minimum-size search.
 
     ``exhaustive`` True means every phi-containing subset of size below
-    ``min_size`` was ruled out (its column set, up to coordinate
-    permutation, was scanned and failed), which by translation invariance
-    rules out all smaller resolving sets.
+    ``min_size`` was ruled out, either scanned (its column set, up to
+    coordinate permutation, failed) or excluded by a lower bound (see
+    _lower_bound), which by translation invariance rules out all smaller
+    resolving sets.
     """
 
     n: int
@@ -198,20 +203,31 @@ def _completions(words: np.ndarray, rows: np.ndarray, zero: np.ndarray, size: in
                 yield _appended(rows, parent[hits], v[hits]).astype(np.uint32)
 
 
-def _scan_hits(n: int, size: int, normalize: bool) -> Iterator[np.ndarray]:
-    """Yield every resolving size-subset of range(2^n), holding 0 if normalize, as uint32 hit blocks.
+def _plain_hits(n: int, rows: np.ndarray, size: int) -> Iterator[np.ndarray]:
+    """Yield the resolving size-subsets of range(2^n) whose first members are a sorted row of rows, as uint32 hit blocks.
 
-    A first member translates to phi, so its running AND is phi's row.
+    The table goes word-major, and a row's running AND starts as the AND of
+    its members' _zero_masks rows translated by its first member, which
+    thereby becomes phi.
     """
     words = np.ascontiguousarray(_zero_masks(n).T)
+    first = rows[:, 0]
+    zero = words.take(first ^ first, axis=1)
+    for column in rows.T[1:]:
+        zero &= words.take(column ^ first, axis=1)
+    yield from _completions(words, rows, zero, size, 1 << n)
+
+
+def _scan_hits(n: int, size: int, normalize: bool) -> Iterator[np.ndarray]:
+    """Yield every resolving size-subset of range(2^n), holding 0 if normalize, as uint32 hit blocks."""
     top = 1 << n
     # a first member leaves room for the size - 1 members above it
     roots = np.arange(max(top - size + 1, 0), dtype=np.min_scalar_type(top - 1))[:, None]
     if normalize:
         roots = roots[:1]
     if size > 1:
-        yield from _completions(words, roots, np.repeat(words[:, :1], len(roots), axis=1), size, top)
-    elif not len(words):
+        yield from _plain_hits(n, roots, size)
+    elif n == 1:
         # a lone member translates to phi, whose row holds every x_j; Q^1 has none
         yield roots.astype(np.uint32)
 
@@ -299,9 +315,18 @@ def _first_hit(n: int, k: int) -> tuple[int, ...]:
     multisets mean some coordinate permutation maps one prefix onto the
     other member by member, and being contained in a resolving k-set is
     invariant under coordinate permutations.
+
+    Once the prefix's completions, its C(2^n - 1 - p_t, k - t - 1) sets of
+    members above p_t, fit in one block of _CHUNK, the plain scan finishes
+    the search, and the first row of its first hit block is H.  The prefix
+    is H's start and extends, so H is among those completions; the plain
+    scan lists them in lexicographic order, and a resolving one listed
+    before H would be a phi-normalized hit sorting before H.
     """
     prefix, columns = (0,), [0] * n
     while len(prefix) < k:
+        if comb((1 << n) - 1 - prefix[-1], k - len(prefix)) <= _CHUNK:
+            return tuple(next(_plain_hits(n, np.array([prefix]), k))[0].tolist())
         ruled_out: set[tuple[int, ...]] = set()
         for v in range(prefix[-1] + 1, 1 << n):
             # v appended at index t = len(prefix): bit t of column i is bit i of v
@@ -316,6 +341,18 @@ def _first_hit(n: int, k: int) -> tuple[int, ...]:
             raise AssertionError(f"no resolving {k}-set contains {prefix}")
         prefix, columns = prefix + (v,), grown
     return prefix
+
+
+def _lower_bound(n: int) -> int:
+    """The least size that neither counting nor the column lemma excludes.
+
+    Counting: a vertex's distances to k members lie in 0..n, so resolving
+    the 2^n vertices takes (n + 1)^k >= 2^n.  The column lemma: the n
+    columns of a phi-containing k-set are distinct (k - 1)-bit vectors, so
+    n <= 2^(k - 1), that is k >= 1 + ceil(log2 n).
+    """
+    counting = next(k for k in count(1) if (n + 1) ** k >= 1 << n)
+    return max(counting, 1 + (n - 1).bit_length())
 
 
 def _lex_rank(combo: tuple[int, ...], pool: int) -> int:
@@ -343,9 +380,13 @@ def min_resolving_size(
     """Exhaustive phi-normalized search for the metric dimension of Q^n.
 
     Tries sizes k = 1, 2, ... and returns at the first size admitting a
-    resolving set; the example is the lexicographically first hit and
-    subsets_examined its 1-based position in the plain enumeration of
-    every phi-containing set by size, then lexicographically.  When max_k
+    resolving set.  Sizes below _lower_bound(n) are excluded without a
+    scan; each size from there on is decided by _extends(n, k, (0,)).  The
+    example is the lexicographically first hit, found by _first_hit: greedy
+    prefix extension through column scans, finished by one plain-scan
+    block.  subsets_examined is the example's 1-based position in the plain
+    enumeration of every phi-containing set by size, then
+    lexicographically, so an excluded size counts in full.  When max_k
     is exhausted without a hit the report falls back to the best known
     construction with exhaustive=False.  ``threads`` is accepted for
     compatibility and ignored.
@@ -364,13 +405,14 @@ def min_resolving_size(
     t0 = time.perf_counter()
     pool = (1 << n) - 1
     examined = 0
+    low = _lower_bound(n)
     for k in range(1, max_k + 1):
-        if _extends(n, k, (0,)):
+        if k >= low and _extends(n, k, (0,)):
             example, exhaustive = Landmarks(n, _first_hit(n, k)), True
             assert is_resolving(example).resolving
             examined += _lex_rank(example.members[1:], pool) + 1
             break
-        # no hit at size k: the whole stratum counts as examined
+        # no hit at size k, scanned or excluded: the whole stratum counts as examined
         examined += comb(pool, k - 1)
     else:
         example, exhaustive = best_construction(n), False
@@ -403,16 +445,18 @@ def find_all_min_sets(n: int, k: int, normalize: bool = True, *, threads: int = 
     if not normalize and n > 5:
         raise ValueError("unrestricted enumeration is limited to n <= 5")
     new = object.__new__
+    # the slots' own descriptors: a frozen Landmarks refuses plain assignment
+    set_n, set_members = Landmarks.n.__set__, Landmarks.members.__set__
     for found in _scan_hits(n, k, normalize=normalize):
         # Landmarks' own checks, once per block: members below 2^n, and
         # strictly increasing rows, so pairwise distinct
         if found.size and (found.max() >> n or not (found[:, 1:] > found[:, :-1]).all()):
             raise ValueError(f"search produced an invalid landmark set for n={n}")
-        for members in map(tuple, found.tolist()):
+        # column by column: one list per member position, zipped into tuples
+        for members in zip(*found.T.tolist()):
             S = new(Landmarks)
-            fields = S.__dict__
-            fields["n"] = n
-            fields["members"] = members
+            set_n(S, n)
+            set_members(S, members)
             yield S
 
 
@@ -422,10 +466,13 @@ def verify_no_smaller(n: int, k: int) -> bool:
     By translation invariance this certifies that no resolving set of size
     k exists at all.  For n <= k <= 2^n one exists: {phi, e_1, ..., e_(n-1)}
     and its supersets resolve, since d(v, e_i) - d(v, phi) = 1 - 2 v_i.
+    Below _lower_bound(n) none exists, and no scan is run.
     """
     check_dimension(n)
     if n > EXHAUSTIVE_CAP:
         raise ValueError(f"verify_no_smaller is limited to n <= {EXHAUSTIVE_CAP}, got {n}")
     if k < 1:
         raise ValueError(f"set size must be >= 1, got {k}")
-    return k > 1 << n if k >= n else not _extends(n, k, (0,))
+    if k >= n:
+        return k > 1 << n
+    return k < _lower_bound(n) or not _extends(n, k, (0,))

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import itertools
+import pickle
 from math import comb
 from random import Random
 
@@ -135,6 +138,29 @@ def test_bool_is_neither_a_dimension_nor_a_vertex():
         Landmarks(np.int64(3), (0,))
     with pytest.raises(ValueError):
         Landmarks(3, (np.int64(1),))
+
+
+def test_landmarks_are_slotted_frozen_values():
+    # slots, not a per-instance __dict__; still frozen, and every copy and
+    # replace gives an equal value with the same hash
+    S = Landmarks(5, (0, 3, 5, 9))
+    assert not hasattr(S, "__dict__") and Landmarks.__slots__ == ("n", "members")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        S.n = 6
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        S.members = (0,)
+    # a name that is no field has no slot; CPython 3.11's frozen __setattr__
+    # then raises TypeError rather than FrozenInstanceError
+    with pytest.raises((dataclasses.FrozenInstanceError, TypeError, AttributeError)):
+        S.extra = 1
+    assert not hasattr(S, "extra")
+    for copied in (pickle.loads(pickle.dumps(S)), copy.copy(S), copy.deepcopy(S), dataclasses.replace(S)):
+        assert type(copied) is Landmarks and copied == S and hash(copied) == hash(S)
+        assert (copied.n, copied.members) == (5, (0, 3, 5, 9))
+    assert dataclasses.replace(S, members=[0, 3]) == Landmarks(5, (0, 3))
+    with pytest.raises(ValueError):
+        dataclasses.replace(S, members=(0, 32))
+    assert S != Landmarks(6, S.members) and hash(S) == hash((5, (0, 3, 5, 9)))
 
 
 def test_landmark_order_is_significant():

@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import hashlib
 import itertools
+import pickle
 import tracemalloc
 from math import comb, prod
 
@@ -54,17 +56,41 @@ def test_examined_count_is_deterministic():
     assert report.subsets_examined == 1 + 15 + 105 + 2
 
 
+def spy_on_extends(monkeypatch):
+    extends = mdim.search._extends
+    calls = []
+    monkeypatch.setattr(mdim.search, "_extends", lambda *args: calls.append(args) or extends(*args))
+    return calls
+
+
 def test_chunk_size_does_not_change_report(monkeypatch):
     # blocks of 97 candidates split every stratum and column scan into many
-    # blocks; verdicts, examples, counts and the listing must not notice
-    default = {n: min_resolving_size(n) for n in (5, 6)}
+    # blocks, and leave the greedy search to pick the last member of n = 7;
+    # blocks of 2^20 let one plain-scan block find the whole example for
+    # n <= 6.  Verdicts, examples, counts and the listing must not notice
+    default = {n: min_resolving_size(n) for n in range(3, 8)}
     stream = list(find_all_min_sets(5, 4))
     assert default[6].subsets_examined == 48_865
-    monkeypatch.setattr(mdim.search, "_CHUNK", 97)
-    for n, report in default.items():
-        small = min_resolving_size(n)
-        assert (small.example, small.subsets_examined) == (report.example, report.subsets_examined)
-    assert list(find_all_min_sets(5, 4)) == stream
+    for chunk in (97, 1 << 20):
+        monkeypatch.setattr(mdim.search, "_CHUNK", chunk)
+        calls = spy_on_extends(monkeypatch)
+        for n, report in default.items():
+            other = min_resolving_size(n)
+            assert (other.example, other.subsets_examined) == (report.example, report.subsets_examined), (n, chunk)
+        greedy = {n for n, k, prefix in calls if len(prefix) > 1}
+        assert greedy == ({4, 5, 6, 7} if chunk == 97 else {7}), chunk
+        assert list(find_all_min_sets(5, 4)) == stream
+        monkeypatch.undo()
+
+
+def test_min_size_six_runs_six_column_scans(monkeypatch):
+    # sizes 1-3 fall to the column lemma, size 4 is ruled out, size 5 hits, and
+    # the greedy search stops at (0, 1, 6), whose 1,596 completions fit in one
+    # plain-scan block
+    calls = spy_on_extends(monkeypatch)
+    assert min_resolving_size(6).example.members == (0, 1, 6, 10, 18)
+    assert calls == [(6, 4, (0,)), (6, 5, (0,)), (6, 5, (0, 1)), (6, 5, (0, 1, 2)), (6, 5, (0, 1, 3)),
+                     (6, 5, (0, 1, 6))]
 
 
 def test_thread_count_does_not_change_report():
@@ -173,9 +199,15 @@ def test_listing_yields_real_landmarks():
         for S in find_all_min_sets(n, k, normalize=normalize):
             built = Landmarks(n, S.members)
             assert S == built and hash(S) == hash(built)
-            assert type(S.members) is tuple and all(type(v) is int for v in S.members)
+            assert type(S) is Landmarks and not hasattr(S, "__dict__")
+            assert type(S.n) is int and type(S.members) is tuple and all(type(v) is int for v in S.members)
             with pytest.raises(dataclasses.FrozenInstanceError):
                 S.members = ()
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                S.n = n + 1
+    S = next(find_all_min_sets(6, 5))
+    for copied in (pickle.loads(pickle.dumps(S)), copy.copy(S), copy.deepcopy(S), dataclasses.replace(S)):
+        assert copied == S and hash(copied) == hash(S) and not hasattr(copied, "__dict__")
 
 
 def test_unrestricted_q5_listing_is_pinned():
@@ -188,18 +220,16 @@ def _listing_reference(n, k, normalize):
     # the kernel on itertools rows in blocks: no enumeration code shared with the scan
     rows = (((0,) + rest for rest in itertools.combinations(range(1, 1 << n), k - 1)) if normalize
             else itertools.combinations(range(1 << n), k))
-    hits = []
     while block := list(itertools.islice(rows, 4096)):
         combos = np.array(block, dtype=np.uint32)
-        hits += [tuple(row) for row in combos[mdim.search._resolving_mask(n, combos)].tolist()]
-    return hits
+        yield from map(tuple, combos[mdim.search._resolving_mask(n, combos)].tolist())
 
 
 @pytest.mark.parametrize("n,k,normalize", [
     (n, k, normalize) for normalize, top in [(True, 6), (False, 5)] for n in range(1, top + 1) for k in range(1, 6)
 ])
 def test_listing_matches_kernel_on_itertools_rows(monkeypatch, n, k, normalize):
-    expected = _listing_reference(n, k, normalize)
+    expected = list(_listing_reference(n, k, normalize))
     assert [S.members for S in find_all_min_sets(n, k, normalize=normalize)] == expected
     monkeypatch.setattr(mdim.search, "_CHUNK", 97)
     assert [S.members for S in find_all_min_sets(n, k, normalize=normalize)] == expected
@@ -447,21 +477,56 @@ def test_resolving_mask_at_the_q8_boundary(monkeypatch):
 
 
 def test_first_hit_skips_prefixes_equal_up_to_permutation(monkeypatch):
-    calls = []
-    extends = mdim.search._extends
-
-    def spy(n, k, prefix):
-        calls.append(prefix)
-        return extends(n, k, prefix)
-
+    # blocks of 97 leave the fourth member to the greedy search as well
     expected = next(find_all_min_sets(6, 5)).members
-    monkeypatch.setattr(mdim.search, "_extends", spy)
+    monkeypatch.setattr(mdim.search, "_CHUNK", 97)
+    spied = spy_on_extends(monkeypatch)
     assert mdim.search._first_hit(6, 5) == expected
+    calls = [prefix for _, _, prefix in spied]
+    assert max(map(len, calls)) == 4
     for t in range(2, 6):
         shapes = [tuple(sorted(mdim.search._columns(6, prefix))) for prefix in calls if len(prefix) == t]
         assert len(shapes) == len(set(shapes)), t
     # (0, 1, 4) and (0, 1, 5) are (0, 1, 2) and (0, 1, 3) with coordinates 2 and 3 swapped
     assert [prefix for prefix in calls if len(prefix) == 3] == [(0, 1, 2), (0, 1, 3), (0, 1, 6)]
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 7) for k in range(1, n + 2)] + [(7, 6)])
+def test_first_hit_matches_kernel_on_itertools_rows(monkeypatch, n, k):
+    # the first resolving phi-containing k-set in itertools order, decided by the
+    # kernel alone, against the greedy search and its plain finish, in blocks of
+    # _CHUNK and of 97
+    expected = next(_listing_reference(n, k, normalize=True), None)
+    assert (expected is None) == verify_no_smaller(n, k), (n, k)
+    if expected is None:
+        return
+    assert mdim.search._first_hit(n, k) == expected
+    monkeypatch.setattr(mdim.search, "_CHUNK", 97)
+    assert mdim.search._first_hit(n, k) == expected
+
+
+def test_lower_bound_counts_and_reads_columns():
+    # the least k with (n + 1)^k >= 2^n and n <= 2^(k - 1), never above the
+    # metric dimension the search certifies
+    for n in range(1, 29):
+        k = mdim.search._lower_bound(n)
+        assert (n + 1) ** k >= 1 << n and n <= 1 << (k - 1), n
+        assert (n + 1) ** (k - 1) < 1 << n or n > 1 << (k - 2), n
+    assert [mdim.search._lower_bound(n) for n in range(1, 13)] == [1, 2, 3, 3, 4, 4, 4, 4, 5, 5, 5, 5]
+    for n, size in [(1, 1), (2, 2), (3, 3), (4, 4), (5, 4), (6, 5), (7, 6), (8, 6)]:
+        assert mdim.search._lower_bound(n) <= size == min_resolving_size(n).min_size, n
+
+
+def test_sizes_below_the_bound_are_not_scanned(monkeypatch):
+    # a max_k below the bound falls back to the construction, and
+    # verify_no_smaller answers below it, with no column scan; the strata
+    # still count in full
+    calls = spy_on_extends(monkeypatch)
+    report = min_resolving_size(7, max_k=3)
+    assert (report.example, report.exhaustive) == (best_construction(7), False)
+    assert report.subsets_examined == 1 + 127 + comb(127, 2)
+    assert all(verify_no_smaller(n, k) for n in range(2, 9) for k in range(1, mdim.search._lower_bound(n)))
+    assert calls == []
 
 
 def test_column_scan_matches_plain_scan():
