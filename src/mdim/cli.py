@@ -28,7 +28,7 @@ from .graphs import is_resolving_general, load_graph
 from .resolve import _minimality, _signs, is_resolving
 from .search import min_resolving_size
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 
 
 def _render(args, inputs: dict, result: dict, elapsed_ms: int) -> str:
@@ -62,7 +62,7 @@ def _verdict(report, witness) -> tuple[dict, int]:
 def cmd_verify(args) -> tuple[dict, dict, int]:
     S = parse_landmarks(args.set, args.n)
     report = is_resolving(S)
-    inputs = {"n": args.n, "set": _fmt(S.members, args.n), "fast": bool(args.fast)}
+    inputs = {"n": args.n, "set": _fmt(S.members, args.n)}
     return inputs, *_verdict(report, _fmt(report.witness, args.n))
 
 
@@ -83,6 +83,8 @@ def cmd_minimal(args) -> tuple[dict, dict, int]:
 
 def cmd_construct(args) -> tuple[dict, dict, int]:
     if args.list:
+        if (args.name, args.n, args.k) != (None, None, None):
+            raise ValueError("construct --list takes no --name, --n or --k")
         return {"name": None, "n": None, "k": None}, {"catalog": catalog_rows()}, 0
     if not args.name:
         raise ValueError("construct needs --name or --list")
@@ -131,14 +133,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--threads", type=int, default=1, help="accepted for compatibility; changes nothing")
         p.add_argument("--pretty", action="store_true", help="human-readable output instead of JSON")
 
     p = sub.add_parser("verify", help="check whether a landmark set resolves Q^n")
     p.add_argument("--n", type=int, required=True, help="hypercube dimension")
     p.add_argument("--set", required=True,
                    help="comma-separated landmarks, binary ('01000') or set ('{2}') form")
-    p.add_argument("--fast", action="store_true", help="kept for compatibility; runs the same verifier")
     add_common(p)
     p.set_defaults(func=cmd_verify)
 

@@ -64,10 +64,17 @@ def build_hypercube(n: int) -> Graph:
     return Graph(size, tuple(tuple(sorted(v ^ (1 << i) for i in range(n))) for v in range(size)))
 
 
+def _check_index(g: Graph, v: int, role: str) -> None:
+    # an int alone, as core.check_vertex takes: True would pass as vertex 1
+    if type(v) is not int:
+        raise ValueError(f"{role} {v!r} is not an int vertex index")
+    if not 0 <= v < g.vertex_count:
+        raise ValueError(f"{role} {v} out of range 0..{g.vertex_count - 1}")
+
+
 def bfs_distances(g: Graph, source: int) -> list[int]:
     """Hop counts from source to every vertex; UNREACHABLE where disconnected."""
-    if not 0 <= source < g.vertex_count:
-        raise ValueError(f"source {source} out of range 0..{g.vertex_count - 1}")
+    _check_index(g, source, "source")
     dist = [UNREACHABLE] * g.vertex_count
     dist[source] = 0
     queue = deque((source,))
@@ -99,8 +106,7 @@ def is_resolving_general(g: Graph, landmarks: Sequence[int]) -> VerificationRepo
     if not landmarks:
         raise ValueError("empty landmark set cannot be verified")
     for s in landmarks:
-        if not 0 <= s < g.vertex_count:
-            raise ValueError(f"landmark {s} out of range 0..{g.vertex_count - 1}")
+        _check_index(g, s, "landmark")
     if len(set(landmarks)) != len(landmarks):
         raise ValueError("landmarks must be pairwise distinct")
     if not is_connected(g):

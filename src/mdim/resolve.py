@@ -355,7 +355,7 @@ def is_resolving(S: Landmarks, *, threads: int = 1) -> VerificationReport:
     The verdict and the witness come from the sign vectors of the module
     docstring, not from the 2^n distance vectors; ``vertices_checked`` is
     2^n by definition, the vertices the verdict covers.  ``threads`` is
-    accepted for compatibility and ignored.
+    ignored; it stays because the benchmark's workloads still pass it.
     """
     _check(S)
     t0 = time.perf_counter()
@@ -450,7 +450,8 @@ def is_minimal(S: Landmarks, *, threads: int = 1) -> tuple[bool, list[Vertex]]:
     raises ValueError when S does not resolve, and one of S - G per half
     G.  A group whose pairs outnumber its verdict's keys is split in two;
     a group of one member j goes through is_resolving's own witness routine
-    on S - j.  ``threads`` is accepted for compatibility and ignored.
+    on S - j.  ``threads`` is ignored; it stays because the benchmark's
+    workloads still pass it.
     """
     _check(S)
     signs = _signs(S.n, S.members)

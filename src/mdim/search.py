@@ -125,23 +125,22 @@ def _zero_masks(n: int) -> np.ndarray:
     return table
 
 
-def _resolving_mask(n: int, combos: np.ndarray) -> np.ndarray:
-    """Which candidates (rows of combos) resolve Q^n.
+def _resolving_mask(n: int, rows: np.ndarray) -> np.ndarray:
+    """Which candidates (columns of the member-major rows, row 0 phi) resolve Q^n.
 
     S resolves iff no nonzero x in {-1,0,1}^n has b_s . x = 0 for every s
     in S, b_s = 1 - 2s (Lindstrom; Sebo-Tannier).  With phi in S,
     b_phi . x = sum x, and a sum-zero x has b_s . x = 0 iff it sums to 0 on
     the ones of s: S fails iff the AND of its members' _zero_masks rows is
-    nonzero.  Translating a candidate by its first member, an automorphism,
-    makes that member phi, whose row holds every x_j, so the AND starts from
-    member 1, or from phi's row for a one-member candidate: on Q^1, with no
-    x_j, that resolves.  Tiles hold ~_TILE_WORDS words.
+    nonzero.  Phi's row holds every x_j, so the AND starts from row 1, or
+    from phi's row for a one-member block: on Q^1, with no x_j, that
+    resolves.  Tiles hold ~_TILE_WORDS words.
     """
     table = _zero_masks(n)
     tile = max(1, _TILE_WORDS // max(table.shape[1], 1))
-    resolves = np.empty(len(combos), dtype=bool)
-    for lo in range(0, len(combos), tile):
-        members = (combos[lo:lo + tile] ^ combos[lo:lo + tile, :1]).T.astype(np.intp)
+    resolves = np.empty(rows.shape[1], dtype=bool)
+    for lo in range(0, rows.shape[1], tile):
+        members = rows[:, lo:lo + tile]
         zero = table.take(members[min(1, len(members) - 1)], axis=0)
         for row in members[2:]:
             zero &= table.take(row, axis=0)
@@ -295,7 +294,7 @@ def _extends(n: int, k: int, prefix: tuple[int, ...]) -> bool:
     all-ones row, changes nothing), and a resolving set has resolving
     supersets of every size up to 2^n.
     """
-    return k <= 1 << n and any(_resolving_mask(n, rows.T).any() for rows in _column_rows(n, k, prefix))
+    return k <= 1 << n and any(_resolving_mask(n, rows).any() for rows in _column_rows(n, k, prefix))
 
 
 def _first_hit(n: int, k: int) -> tuple[int, ...]:
@@ -388,8 +387,8 @@ def min_resolving_size(
     enumeration of every phi-containing set by size, then
     lexicographically, so an excluded size counts in full.  When max_k
     is exhausted without a hit the report falls back to the best known
-    construction with exhaustive=False.  ``threads`` is accepted for
-    compatibility and ignored.
+    construction with exhaustive=False.  ``threads`` is ignored; it stays
+    because the benchmark's workloads still pass it.
     """
     check_dimension(n)
     if max_k is None:
@@ -432,8 +431,8 @@ def find_all_min_sets(n: int, k: int, normalize: bool = True, *, threads: int = 
     normalize=True restricts to sets containing phi (sufficient up to
     translation); normalize=False enumerates all subsets and is only
     allowed at n <= 5.  Each block of hits is checked once in place of
-    Landmarks.__post_init__.  ``threads`` is accepted for compatibility and
-    ignored.
+    Landmarks.__post_init__.  ``threads`` is ignored; it stays because the
+    benchmark's workloads still pass it.
     """
     check_dimension(n)
     if n > 6:

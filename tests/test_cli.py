@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -27,14 +28,10 @@ def run_record(capsys, *argv):
     return code, json.loads(lines[0])
 
 
-def payload(record):
-    return {k: v for k, v in record.items() if k != "elapsed_ms"}
-
-
 def test_verify_resolving_exit_zero(capsys):
     code, record = run_record(capsys, "verify", "--n", "5", "--set", "01000,00100,00010,00001")
     assert code == 0
-    assert record["schema_version"] == "2"
+    assert record["schema_version"] == "3"
     assert record["command"] == "verify"
     assert record["result"]["resolving"] is True
     assert record["result"]["witness"] is None
@@ -73,16 +70,6 @@ def test_bad_dimension_is_not_blamed_on_a_landmark(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert "dimension must be an int" in err and "landmark" not in err
-
-
-def test_verify_fast_flag_same_payload(capsys):
-    _, slow = run_record(capsys, "verify", "--n", "6", "--set", "010000,001000,000100,000010,000001")
-    _, fast = run_record(
-        capsys, "verify", "--n", "6", "--set", "010000,001000,000100,000010,000001", "--fast"
-    )
-    assert slow["result"] == fast["result"]
-    assert slow["inputs"]["fast"] is False
-    assert fast["inputs"]["fast"] is True
 
 
 def test_minimal_of_minimal_set(capsys):
@@ -153,6 +140,14 @@ def test_construct_list(capsys):
     assert code == 0
     names = [row["name"] for row in record["result"]["catalog"]]
     assert "basis-minimal" in names and "er-q5" in names
+
+
+@pytest.mark.parametrize("extra", [["--name", "basis-minimal"], ["--n", "5"], ["--k", "2"],
+                                   ["--name", "basis-minimal", "--n", "5"]])
+def test_construct_list_takes_no_other_option(capsys, extra):
+    # the catalog ignored them and echoed nulls for the options it was given
+    code, out, err = run(capsys, "construct", "--list", *extra)
+    assert (code, out, err) == (2, "", "error: construct --list takes no --name, --n or --k\n")
 
 
 def test_construct_errors_exit_two(capsys):
@@ -249,17 +244,6 @@ def test_printed_vertices_reparse(capsys):
         assert len(text) == n
 
 
-def test_threads_flag_does_not_change_payload(capsys):
-    records = []
-    for t in ("1", "4", "8"):
-        _, record = run_record(
-            capsys, "verify", "--n", "6", "--set", "010000,001000,000100,000010,000001",
-            "--threads", t,
-        )
-        records.append(payload(record))
-    assert records[0] == records[1] == records[2]
-
-
 def test_cli_imports_no_worker_pool():
     # the search and the verifier run on one thread; importing
     # concurrent.futures would cost start-up time for nothing
@@ -273,6 +257,23 @@ def test_seed_is_rejected():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--n", "4", "--set", "0000,1000,0100,0010", "--seed", "7"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--n", "4", "--set", "0000,1000,0100,0010", "--threads", "2"],
+    ["verify", "--n", "4", "--set", "0000,1000,0100,0010", "--fast"],
+    ["minimal", "--n", "4", "--set", "0000,1000,0100,0010", "--threads", "2"],
+    ["construct", "--list", "--threads", "2"],
+    ["dimension", "--n", "4", "--threads", "2"],
+    ["graph-verify", "--graph", "p3.txt", "--landmarks", "0", "--threads", "2"],
+])
+def test_retired_options_are_rejected(capsys, argv):
+    # --threads and verify --fast changed no result; they went with schema_version "3"
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    assert (exc.value.code, out.out) == (2, "")
+    assert "unrecognized arguments: --" in out.err
 
 
 def test_pretty_output_is_not_json(capsys):
@@ -294,8 +295,8 @@ GOLDEN = [
     (
         ['verify', '--n', '5', '--set', '01000,00100,00010,00001'], 0,
         (
-            '{"schema_version":"2","command":"verify","inputs":{"n":5,"set":["01000",'
-            '"00100","00010","00001"],"fast":false},"result":{"resolving":true,'
+            '{"schema_version":"3","command":"verify","inputs":{"n":5,"set":["01000",'
+            '"00100","00010","00001"]},"result":{"resolving":true,'
             '"witness":null,"vertices_checked":32},"elapsed_ms":0}\n'
         ),
         '',
@@ -303,37 +304,17 @@ GOLDEN = [
     (
         ['verify', '--n', '5', '--set', '00100,00010,00001'], 1,
         (
-            '{"schema_version":"2","command":"verify","inputs":{"n":5,"set":["00100",'
-            '"00010","00001"],"fast":false},"result":{"resolving":false,'
+            '{"schema_version":"3","command":"verify","inputs":{"n":5,"set":["00100",'
+            '"00010","00001"]},"result":{"resolving":false,'
             '"witness":["10000","01000"],"vertices_checked":32},"elapsed_ms":0}\n'
-        ),
-        '',
-    ),
-    (
-        ['verify', '--n', '6', '--set', '010000,001000,000100,000010,000001', '--fast'], 0,
-        (
-            '{"schema_version":"2","command":"verify","inputs":{"n":6,'
-            '"set":["010000","001000","000100","000010","000001"],"fast":true},'
-            '"result":{"resolving":true,"witness":null,"vertices_checked":64},'
-            '"elapsed_ms":0}\n'
-        ),
-        '',
-    ),
-    (
-        ['verify', '--n', '6', '--set', '010000,001000,000100,000010,000001', '--threads', '4'], 0,
-        (
-            '{"schema_version":"2","command":"verify","inputs":{"n":6,'
-            '"set":["010000","001000","000100","000010","000001"],"fast":false},'
-            '"result":{"resolving":true,"witness":null,"vertices_checked":64},'
-            '"elapsed_ms":0}\n'
         ),
         '',
     ),
     (
         ['verify', '--n', '4', '--set', '0000,1000,0100,0010', '--pretty'], 0,
         (
-            "command: verify\n  n: 4\n  set: ['0000', '1000', '0100', '0010']\n"
-            '  fast: False\nresult:\n  resolving: True\n  witness: None\n'
+            "command: verify\n  n: 4\n  set: ['0000', '1000', '0100', '0010']\nresult:\n"
+            '  resolving: True\n  witness: None\n'
             '  vertices_checked: 16\nelapsed_ms: 0\n'
         ),
         '',
@@ -346,7 +327,7 @@ GOLDEN = [
     (
         ['minimal', '--n', '5', '--set', '01000,00100,00010,00001'], 0,
         (
-            '{"schema_version":"2","command":"minimal","inputs":{"n":5,'
+            '{"schema_version":"3","command":"minimal","inputs":{"n":5,'
             '"set":["01000","00100","00010","00001"]},"result":{"resolving":true,'
             '"witness":null,"minimal":true,"removable":[]},"elapsed_ms":0}\n'
         ),
@@ -355,7 +336,7 @@ GOLDEN = [
     (
         ['minimal', '--n', '5', '--set', '11111,01111,10111,11011,11101'], 0,
         (
-            '{"schema_version":"2","command":"minimal","inputs":{"n":5,'
+            '{"schema_version":"3","command":"minimal","inputs":{"n":5,'
             '"set":["11111","01111","10111","11011","11101"]},'
             '"result":{"resolving":true,"witness":null,"minimal":false,'
             '"removable":["11111"]},"elapsed_ms":0}\n'
@@ -365,7 +346,7 @@ GOLDEN = [
     (
         ['minimal', '--n', '5', '--set', '00100,00010,00001'], 1,
         (
-            '{"schema_version":"2","command":"minimal","inputs":{"n":5,'
+            '{"schema_version":"3","command":"minimal","inputs":{"n":5,'
             '"set":["00100","00010","00001"]},"result":{"resolving":false,'
             '"witness":["10000","01000"],"minimal":null,"removable":null},'
             '"elapsed_ms":0}\n'
@@ -384,7 +365,7 @@ GOLDEN = [
     (
         ['construct', '--name', 'er-reduced', '--n', '5'], 0,
         (
-            '{"schema_version":"2","command":"construct",'
+            '{"schema_version":"3","command":"construct",'
             '"inputs":{"name":"er-reduced","n":5,"k":null},"result":{"n":5,"size":4,'
             '"members":["01111","10111","11011","11101"],'
             '"description":"all-ones with one zero in coordinate i,'
@@ -404,7 +385,7 @@ GOLDEN = [
     (
         ['construct', '--list'], 0,
         (
-            '{"schema_version":"2","command":"construct","inputs":{"name":null,'
+            '{"schema_version":"3","command":"construct","inputs":{"name":null,'
             '"n":null,"k":null},"result":{"catalog":[{"name":"basis-minimal",'
             '"params":"n >= 5","size":"n-1","description":"singletons {2},...,'
             '{n}; minimal resolving set"},{"name":"er-reduced","params":"n >= 5",'
@@ -439,7 +420,7 @@ GOLDEN = [
     (
         ['dimension', '--n', '4'], 0,
         (
-            '{"schema_version":"2","command":"dimension","inputs":{"n":4,'
+            '{"schema_version":"3","command":"dimension","inputs":{"n":4,'
             '"max_k":null,"force":false},"result":{"min_size":4,"example":["0000",'
             '"1000","0100","0010"],"subsets_examined":123,"exhaustive":true},'
             '"elapsed_ms":0}\n'
@@ -449,7 +430,7 @@ GOLDEN = [
     (
         ['dimension', '--n', '5', '--max-k', '3'], 0,
         (
-            '{"schema_version":"2","command":"dimension","inputs":{"n":5,"max_k":3,'
+            '{"schema_version":"3","command":"dimension","inputs":{"n":5,"max_k":3,'
             '"force":false},"result":{"min_size":4,"example":["01111","10111",'
             '"11011","11101"],"subsets_examined":497,"exhaustive":false},'
             '"elapsed_ms":0}\n'
@@ -464,7 +445,7 @@ GOLDEN = [
     (
         ['graph-verify', '--graph', '<tmp>/p3.txt', '--landmarks', '0'], 0,
         (
-            '{"schema_version":"2","command":"graph-verify",'
+            '{"schema_version":"3","command":"graph-verify",'
             '"inputs":{"graph":"<tmp>/p3.txt","landmarks":[0]},'
             '"result":{"resolving":true,"witness":null,"vertices_checked":3},'
             '"elapsed_ms":0}\n'
@@ -500,3 +481,22 @@ def test_golden_records(tmp_path, capsys, argv, code, out, err):
         return text.replace(str(tmp_path), "<tmp>")
 
     assert (got[0], mask(got[1]), mask(got[2])) == (code, out, err)
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    # every example line exits as its "# exit N" comment says, or 0 without one
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("mdim ")]
+    assert len(lines) == 9
+    (tmp_path / "path.txt").write_text("p 3\n0 1\n1 2\n")
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        command, _, comment = line.partition("#")
+        expected = re.match(r"\s*exit (\d+)", comment)
+        try:
+            code = main(shlex.split(command)[1:])
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code == (int(expected.group(1)) if expected else 0), (line, err)

@@ -139,6 +139,17 @@ def test_is_resolving_general_errors():
         is_resolving_general(disconnected, [0])
 
 
+@pytest.mark.parametrize("vertex", [True, False, 1.0, "1", None])
+def test_oracle_takes_int_vertices_only(vertex):
+    # as core.check_vertex: True once read as vertex 1, and {True, 2, 4} was
+    # reported to resolve Q^3; 1.0 raised TypeError
+    g = build_hypercube(3)
+    with pytest.raises(ValueError, match="not an int vertex index"):
+        is_resolving_general(g, [vertex, 2, 4])
+    with pytest.raises(ValueError, match="not an int vertex index"):
+        bfs_distances(g, vertex)
+
+
 def test_oracle_equivalence_with_bit_parallel_path():
     rng = Random(2024)
     for _ in range(150):

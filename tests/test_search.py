@@ -216,13 +216,19 @@ def test_unrestricted_q5_listing_is_pinned():
                            "2704c4bd35b280942595edda2bed50bc9f1888a9750230d957d9c77351b1cb57")
 
 
+def _kernel(n, combos):
+    # the kernel on candidate rows: translated by their first member, which
+    # becomes phi, and transposed to the member-major blocks it takes
+    return mdim.search._resolving_mask(n, (combos ^ combos[:, :1]).T)
+
+
 def _listing_reference(n, k, normalize):
     # the kernel on itertools rows in blocks: no enumeration code shared with the scan
     rows = (((0,) + rest for rest in itertools.combinations(range(1, 1 << n), k - 1)) if normalize
             else itertools.combinations(range(1 << n), k))
     while block := list(itertools.islice(rows, 4096)):
         combos = np.array(block, dtype=np.uint32)
-        yield from map(tuple, combos[mdim.search._resolving_mask(n, combos)].tolist())
+        yield from map(tuple, combos[_kernel(n, combos)].tolist())
 
 
 @pytest.mark.parametrize("n,k,normalize", [
@@ -409,10 +415,10 @@ def test_resolving_mask_matches_naive(monkeypatch, n):
             combos = rng.integers(0, 1 << n, size=(m, r), dtype=np.uint32)
             combos[m // 2:] = combos[:m - m // 2]
             expected = [naive_is_resolving(n, tuple(row))[0] for row in combos.tolist()]
-            assert mdim.search._resolving_mask(n, combos).tolist() == expected, (n, r, m)
+            assert _kernel(n, combos).tolist() == expected, (n, r, m)
             with monkeypatch.context() as patch:
                 patch.setattr(mdim.search, "_TILE_WORDS", 5 * words)
-                assert mdim.search._resolving_mask(n, combos).tolist() == expected, (n, r, m, "tiles of 5")
+                assert _kernel(n, combos).tolist() == expected, (n, r, m, "tiles of 5")
 
 
 def test_zero_masks_hold_the_sum_zero_sign_vectors():
@@ -446,7 +452,7 @@ def test_one_vertex_rows_resolve_only_q1(n):
     combos[1] = (1 << n) - 1
     combos[2] = 1 << (n - 1)
     for r in (1, 2, 4):
-        assert mdim.search._resolving_mask(n, combos[:, :r]).tolist() == [n == 1] * 3, (n, r)
+        assert _kernel(n, combos[:, :r]).tolist() == [n == 1] * 3, (n, r)
 
 
 def test_resolving_mask_at_the_q8_boundary(monkeypatch):
@@ -457,9 +463,9 @@ def test_resolving_mask_at_the_q8_boundary(monkeypatch):
     seen = []
     kernel = mdim.search._resolving_mask
 
-    def spy(n, combos):
-        mask = kernel(n, combos)
-        seen.append((combos.copy(), mask))
+    def spy(n, rows):
+        mask = kernel(n, rows)
+        seen.append((rows.T.copy(), mask))
         return mask
 
     monkeypatch.setattr(mdim.search, "_resolving_mask", spy)
