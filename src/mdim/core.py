@@ -16,17 +16,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-# The verifier sorts 3^h + (3^(n-h) + 1)/2 keys of sign vectors, h = n // 2,
-# in a buffer each thread keeps for its largest verdict: 3.4 MiB at n = 23
-# and 54.7 MiB at n = 28.  The ru_maxrss rise of is_resolving on one thread
-# (2 vCPU Xeon) measured 7, 19 and 56 MiB at n = 24, 26 and 28, both for
-# basis_minimal_set and for the failing set {2..n} without {5}.  Its exact
-# confirm grows with the candidates a set's kernel gives: two random
-# members at n = 28 (7.1 M candidates) took 1.7-2.1 s and 501 MiB peak
-# RSS, about half of it in np.unique's argsort.  is_minimal runs three such
-# verdicts for most sets and checks the group pairs in blocks of at most
-# 8,192: at n = 28, is_minimal(basis_minimal_set(28)) took 0.39-0.52 s at
-# 106 MiB peak RSS in a fresh process.  Vertices also stay inside a uint32.
+# The figures that bound the cap are meet in the middle's (MITM's), the
+# verifier of sets of more than n members and of sets whose kernel the
+# rank path prices above it.  MITM sorts 3^h + (3^(n-h) + 1)/2 keys of sign
+# vectors, h = n // 2, in a buffer each thread keeps for its largest
+# verdict: 3.4 MiB at n = 23 and 54.7 MiB at n = 28.  Its ru_maxrss rise on
+# one thread (2 vCPU Xeon) measured 7, 19 and 56 MiB at n = 24, 26 and 28,
+# both for basis_minimal_set and for the failing set {2..n} without {5}.
+# Its exact confirm grows with the candidates a set's kernel gives: two
+# random members at n = 28 (7.1 M candidates) took 1.7-2.1 s and 501 MiB
+# peak RSS, about half of it in np.unique's argsort.  The rank path
+# decides basis_minimal_set(28), {2..28} without {5} and a random 28-set
+# in about 1 ms at 29.1-29.6 MiB peak RSS in a fresh process, within 1 MiB
+# of the process before the call.  is_minimal still runs one MITM verdict
+# per half of its members and checks the group pairs in blocks of at most
+# 8,192: at n = 28, is_minimal(basis_minimal_set(28)) took 0.42-0.50 s at
+# 105 MiB peak RSS in a fresh process.  Vertices also stay inside a uint32.
 DIMENSION_CAP = 28
 
 Vertex = int
@@ -73,13 +78,18 @@ def level(v: Vertex) -> int:
     return v.bit_count()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Landmarks:
     """An ordered candidate resolving set for Q^n.
 
     Order is significant: distance vectors list one entry per member, in
     member order.  Members must be pairwise distinct and valid for n.
     """
+
+    # Slots written here rather than by slots=True: that copies the class, and on
+    # CPython 3.11 the frozen __setattr__ of the copy fails with TypeError for a
+    # name that is no field.  Frozen slots take no pickled state, hence __reduce__.
+    __slots__ = ("n", "members")
 
     n: int
     members: tuple[Vertex, ...]
@@ -100,6 +110,9 @@ class Landmarks:
 
     def to_text(self) -> str:
         return ",".join(format_vertex(v, self.n) for v in self.members)
+
+    def __reduce__(self):
+        return Landmarks, (self.n, self.members)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,32 @@ some pair (u = the ones of x, v = its minus ones).  So S resolves exactly
 when no nonzero x in {-1,0,1}^n has b_s . x = 0 for every s in S (the
 detecting-matrix view of Lindstrom and of Sebo-Tannier).
 
-The verdict decides that by meet in the middle (Horowitz-Sahni): with
+Write B for the k x n matrix of the b_s.  The rank path decides a set of
+k <= n members from B's kernel.  _echelon reduces B over F_p,
+p = 2^31 - 1, to its rank r, its pivot columns and its d = n - r free
+columns; d = 0 resolves at once.  Otherwise _rank_witness enumerates the
+(3^d - 1)/2 free sign vectors whose highest nonzero entry is +1, keeps
+those whose pivot entries come out as the residues 0, 1 or p - 1, lifts
+them to sign vectors x and confirms B x = 0 exactly in integers.  That is
+exact for three reasons: every integer kernel vector of B is also one over
+F_p; over F_p a kernel vector is fixed by its free entries; and since
+p > 3, a residue lifts to -1, 0 or 1 in at most one way.  So every kernel
+vector in {-1,0,1}^n, or its negative, is a confirmed candidate, and the
+confirm rejects the kernel vectors of F_p alone.  The paper's sets of n - 1
+members have d = 1: their kernel is the line through (3 - n, 1, ..., 1),
+which holds no sign vector from n = 5 on.
+
+The rank path runs when it costs fewer keys than meet in the middle
+sorts (_rank_pays): k pivot steps at _PIVOT_KEYS keys each, plus one key
+per residue of its candidates, against 3^h + (3^m + 1)/2 keys for halves
+of h = n // 2 and m = n - h coordinates.  d >= n - k prices it before the
+elimination, the rank after it.  Every set on at most 15 coordinates,
+where the pivot steps cost more than the whole sort, stays on meet in the
+middle; from n = 16 on, the rank path takes the sets of about n/2 + 2 to
+n members whose rank is close to k.  Sets of more than n members always
+go to meet in the middle.
+
+Meet in the middle (MITM, Horowitz-Sahni) decides the rest: with
 fixed odd weights w_j, coordinate i gets the 64-bit coefficient
 c_i = sum_j w_j b_{j,i} mod 2^64, and x gets the hash c . x.  Write
 x = (y, z) for its halves of the coordinates; a left hash c . y equal to a
@@ -22,13 +47,15 @@ confirmed exactly against the sign matrix, so a hash collision never
 changes a verdict.  The set resolves when x = 0 is the only candidate.
 
 A failing set's witness, the smallest colliding pair (u, v) with u < v,
-comes from the confirmed candidates.  It has u & v = 0, since
-dropping the ones two colliding vertices share keeps them colliding and
-lowers u; so it is the least (pos x, neg x) over the nonzero kernel
+comes from the confirmed candidates of either path.  It has u & v = 0,
+since dropping the ones two colliding vertices share keeps them colliding
+and lowers u; so it is the least (pos x, neg x) over the nonzero kernel
 vectors x, where pos x and neg x are the vertices of x's ones and minus
-ones, and (neg x, pos x) is the pair of -x.  _kernel_witness finds that
-least pair in one pass over the candidates, without pairing any left half
-with any right half, so a large kernel costs no more than its candidates.
+ones, and (neg x, pos x) is the pair of -x.  The rank path takes the
+least (min, max) of the two over its confirmed candidates.  For MITM,
+_kernel_witness finds that least pair in one pass over the candidates,
+without pairing any left half with any right half, so a large kernel
+costs no more than its candidates.
 
 A candidate is decoded from its base-3 index by table lookup.  For each
 group of 7 coordinates of a half, _tables fills, with the _spread that
@@ -37,19 +64,18 @@ _lookup sums the rows an index's digits pick.  That one pair gives the
 exact rows B y and -B z, the ranks (pos x, neg x) and plain sign vectors.
 
 Minimality asks, for each member j of a resolving S, whether S - j still
-resolves.  Write B for the k x n matrix of the b_s, and B_G for its rows
-of a group G of members.  j in G is needed (S - j fails) exactly when
-some nonzero x with B_{S-G} x = 0 has B_G x nonzero at j alone: such an x
-is a kernel vector of S - j, and every kernel vector of S - j is one (it
-is no kernel vector of S, so B x is nonzero at j).  One verdict of S - G
-therefore decides every member of G, from the left-right key pairs of
-its matched runs: those are its kernel vectors up to sign, and B_G x and
-B_G (-x) have one support.  Each pair is confirmed exactly against B
-before it counts.  is_minimal runs the verdict of S and one per half of
-its members, splitting a half again only when its pairs, counted from
-the run sizes before any is formed, outnumber that verdict's keys.  A
-group of one member j goes through is_resolving's own witness routine
-on S - j.
+resolves.  Write B_G for the rows of B of a group G of members.  j in G
+is needed (S - j fails) exactly when some nonzero x with B_{S-G} x = 0
+has B_G x nonzero at j alone: such an x is a kernel vector of S - j, and
+every kernel vector of S - j is one (it is no kernel vector of S, so B x
+is nonzero at j).  One verdict of S - G therefore decides every member
+of G, from the left-right key pairs of its matched runs: those are its
+kernel vectors up to sign, and B_G x and B_G (-x) have one support.
+Each pair is confirmed exactly against B before it counts.  is_minimal
+runs the verdict of S and one per half of its members, splitting a half
+again only when its pairs, counted from the run sizes before any is
+formed, outnumber that verdict's keys.  A group of one member j goes
+through is_resolving's own witness routine on S - j.
 
 The keys go into a buffer that each thread keeps between verdicts (numpy
 releases the interpreter lock while it sorts, so threads cannot share
@@ -57,8 +83,10 @@ one), grown to the largest verdict the thread has run: 3.4 MiB at n = 23
 and 54.7 MiB at n = 28.  The left-right meetings are marked in blocks of
 the sorted keys, so a verdict's other arrays are sized by its candidates,
 and a warm verdict takes no page faults.  On a 2 vCPU Xeon, in a fresh
-process, is_resolving(basis_minimal_set(28)) takes 0.11-0.14 s at 84.5 MiB
-peak RSS and is_minimal of it 0.39-0.52 s at 106 MiB.
+process, is_resolving(basis_minimal_set(28)) takes the rank path in about
+1.1 ms at 29.4 MiB peak RSS (0.15-0.19 s at 84.6 MiB by MITM), and
+is_minimal of it 0.42-0.50 s at 105 MiB, nearly all in the MITM verdicts
+of its two groups.
 """
 
 from __future__ import annotations
@@ -334,13 +362,117 @@ def _matched_runs(signs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return index[~is_right], index[is_right] - side, marked + 1 - lo, hi - marked - 1
 
 
-def _witness(signs: np.ndarray) -> tuple[int, int] | None:
-    """The smallest colliding pair (u, v), u < v, or None when the members of the n x k matrix of _signs resolve Q^n."""
+# The rank path's field: a prime above 3 (so a residue lifts to -1, 0 or 1 in at most one way)
+# whose residues' products fit an int64.
+_PRIME = 2**31 - 1
+
+# One pivot step of _echelon, priced in MITM keys: 6-14 us a step against 11-17 ns a key
+# (n = 16-24 on a 2 vCPU Xeon).
+_PIVOT_KEYS = 512
+
+
+def _rank_pays(n: int, k: int, d: int) -> bool:
+    """Whether the rank path costs fewer keys than MITM's: k pivot steps, then (3^d - 1)/2 candidates of n - d residues.
+
+    A residue costs about what a key does (16-20 ns against 11-17 ns).
+    """
+    return k * _PIVOT_KEYS + (3**d - 1) // 2 * (n - d) <= _key_count(n // 2, n - n // 2)
+
+
+def _echelon(signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """B reduced over F_p, p = _PRIME: (rows, pivots), the nonzero rows and their pivot columns.
+
+    Gauss-Jordan without division: each member's row q, once the pivots
+    before it are cleared from it, pivots on its largest residue a = q_c,
+    and every other row r becomes a r - r_c q.  A row that clears to zero
+    depends on those before it.  So pivot column pivots[i] is zero in
+    every row but row i, and x is a kernel vector of B over F_p exactly
+    when rows[i] . x = 0 for every i: its free entries fix the others.
+    """
+    p = _PRIME
+    rows = signs.T.astype(np.int64)
+    rows %= p
+    update = np.empty_like(rows)
+    kept, pivots = [], []
+    for i, row in enumerate(rows):
+        c = row.argmax()
+        a = int(row[c])
+        if not a:
+            continue
+        np.multiply(rows[:, c, None], row, out=update)
+        update[i] = 0
+        rows *= a  # a r - r_c q stays inside an int64: both terms are below p^2 < 2^62
+        rows -= update
+        rows %= p
+        kept.append(i)
+        pivots.append(c)
+    return rows[kept], np.array(pivots, dtype=np.intp)
+
+
+def _rank_witness(signs: np.ndarray, rows: np.ndarray, pivots: np.ndarray) -> tuple[int, int] | None:
+    """_witness from the _echelon (rows, pivots) of the n x k matrix of _signs, by enumerating its free entries.
+
+    A candidate assigns the d free entries a sign vector whose highest
+    nonzero entry is +1, (3^d - 1)/2 of them, decoded from the indices
+    [3^t, 2 3^t) by the _tables of the free columns.  Pivot i then needs
+    a x_pivot = -s, a = rows[i, pivots[i]] and s the sum of the rest of
+    row i, so x_pivot is 0, +1 or -1 when s is 0, p - a or a, and
+    otherwise the candidate lifts to no sign vector.  A lifted x is confirmed with B x = 0
+    exactly, which rejects the kernel vectors of F_p alone.  Every integer
+    kernel vector is a kernel vector over F_p, fixed by its free entries,
+    so it or its negative is a lifted candidate.
+    """
+    p = _PRIME
+    n = len(signs)
+    free = np.ones(n, dtype=bool)
+    free[pivots] = False
+    d = n - pivots.size
+    if not d:
+        return None
+    index = np.concatenate([np.arange(3**t, 2 * 3**t) for t in range(d)])
+    coeffs = rows[:, free].T
+    sums = _lookup(index, _tables(coeffs, p - coeffs))
+    sums %= p
+    scale = rows[np.arange(pivots.size), pivots]
+    plus, minus = sums == p - scale, sums == scale
+    lifts = (plus | minus | (sums == 0)).all(axis=1)
+    if not lifts.any():
+        return None
+    x = np.zeros((int(lifts.sum()), n), dtype=np.int8)
+    x[:, free] = _sign_vectors(index[lifts], d)
+    x[:, pivots] = plus[lifts]
+    x[:, pivots] -= minus[lifts]
+    x = x[~(x @ signs).any(axis=1)]
+    if not len(x):
+        return None
+    weights = np.left_shift(1, np.arange(n, dtype=np.int64))
+    pos, neg = (x == 1) @ weights, (x == -1) @ weights
+    rank = (np.minimum(pos, neg) << n | np.maximum(pos, neg)).min()
+    return divmod(int(rank), 1 << n)
+
+
+def _mitm_witness(signs: np.ndarray) -> tuple[int, int] | None:
+    """_witness by meet in the middle: the confirmed candidates of one sorted set of keys."""
     runs = _matched_runs(signs)
     if runs is None:
         return None
     rank = _kernel_witness(signs, *runs[:2])
     return None if rank is None else divmod(rank, 1 << len(signs))
+
+
+def _witness(signs: np.ndarray) -> tuple[int, int] | None:
+    """The smallest colliding pair (u, v), u < v, or None when the members of the n x k matrix of _signs resolve Q^n.
+
+    The rank path decides sets of at most n members whose _echelon makes
+    it cost fewer keys than MITM's (_rank_pays); d >= n - k decides that
+    before the elimination, the rank after it.
+    """
+    n, k = signs.shape
+    if k <= n and _rank_pays(n, k, n - k):
+        rows, pivots = _echelon(signs)
+        if _rank_pays(n, k, n - pivots.size):
+            return _rank_witness(signs, rows, pivots)
+    return _mitm_witness(signs)
 
 
 def _check(S: Landmarks) -> None:
@@ -353,8 +485,10 @@ def is_resolving(S: Landmarks, *, threads: int = 1) -> VerificationReport:
     """Decide whether S resolves Q^n, and find the smallest colliding pair when it does not.
 
     The verdict and the witness come from the sign vectors of the module
-    docstring, not from the 2^n distance vectors; ``vertices_checked`` is
-    2^n by definition, the vertices the verdict covers.  ``threads`` is
+    docstring, not from the 2^n distance vectors: one verdict, by the rank
+    path for a set of at most n members that it prices below meet in the
+    middle, by meet in the middle otherwise.  ``vertices_checked`` is 2^n
+    by definition, the vertices the verdict covers.  ``threads`` is
     ignored; it stays because the benchmark's workloads still pass it.
     """
     _check(S)
@@ -448,10 +582,12 @@ def is_minimal(S: Landmarks, *, threads: int = 1) -> tuple[bool, list[Vertex]]:
     vector x of S - G has B_G x nonzero at j alone.  The members start as
     two halves, so a set usually costs three verdicts: S itself, which
     raises ValueError when S does not resolve, and one of S - G per half
-    G.  A group whose pairs outnumber its verdict's keys is split in two;
-    a group of one member j goes through is_resolving's own witness routine
-    on S - j.  ``threads`` is ignored; it stays because the benchmark's
-    workloads still pass it.
+    G.  The verdict of S, and that of S - j for a group of one member j,
+    is is_resolving's own, by the rank path where it is priced below meet
+    in the middle; the verdicts of larger groups are always meet in the
+    middle, since they read its key pairs.  A group whose pairs outnumber
+    its verdict's keys is split in two.  ``threads`` is ignored; it stays
+    because the benchmark's workloads still pass it.
     """
     _check(S)
     signs = _signs(S.n, S.members)

@@ -96,15 +96,12 @@ def test_minimal_of_padded_set(capsys):
     assert record["result"]["removable"] != []
 
 
-def test_minimal_runs_the_verdict_of_the_set_once(capsys, monkeypatch):
-    # the verdict of S, then one per half of its members
-    build = mdim.resolve._verdict_keys
-    verdicts = []
-    monkeypatch.setattr(mdim.resolve, "_verdict_keys", lambda *args: verdicts.append(1) or build(*args))
+def test_minimal_runs_the_verdict_of_the_set_once(capsys, verdicts):
+    # the verdict of S, by the rank path, then one per half of its members
     S = basis_minimal_set(20)
     code, record = run_record(capsys, "minimal", "--n", "20", "--set", ",".join(format_vertex(v, 20) for v in S))
     assert (code, record["result"]["minimal"], record["result"]["removable"]) == (0, True, [])
-    assert len(verdicts) == 3
+    assert verdicts == ["rank", "mitm", "mitm"]
 
 
 def test_minimal_rejects_non_resolving_with_exit_one(capsys):

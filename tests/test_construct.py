@@ -1,7 +1,6 @@
 import pytest
 
 import mdim.construct
-import mdim.resolve
 from helpers import naive_is_resolving
 from mdim.construct import (
     CATALOG,
@@ -23,13 +22,6 @@ from mdim.resolve import is_minimal, is_resolving
 
 def fmt(S):
     return [format_vertex(v, S.n) for v in S.members]
-
-
-def spy_on_verdicts(monkeypatch):
-    build = mdim.resolve._verdict_keys
-    verdicts = []
-    monkeypatch.setattr(mdim.resolve, "_verdict_keys", lambda *args: verdicts.append(1) or build(*args))
-    return verdicts
 
 
 def test_basis_minimal_set_golden():
@@ -120,8 +112,7 @@ def test_product_lift_er_q5_chain():
     assert naive_is_resolving(6, lifted.members)[0]
 
 
-def test_product_lift_runs_one_verdict(monkeypatch):
-    verdicts = spy_on_verdicts(monkeypatch)
+def test_product_lift_runs_one_verdict(verdicts):
     assert product_lift(er_q5_set()) == product_chain_set(6)
     assert len(verdicts) == 1
 
@@ -157,8 +148,7 @@ def test_product_chain_closed_form_matches_the_lift_chain(n):
         assert naive_is_resolving(n, S.members) == (True, None)
 
 
-def test_product_chain_runs_no_verdict(monkeypatch):
-    verdicts = spy_on_verdicts(monkeypatch)
+def test_product_chain_runs_no_verdict(verdicts):
     assert len(product_chain_set(DIMENSION_CAP)) == DIMENSION_CAP - 1
     assert verdicts == []
 

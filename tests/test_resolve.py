@@ -149,6 +149,55 @@ def test_resolves_matches_bruteforce():
         assert mdim.resolve._witness(mdim.resolve._signs(n, S.members)) == naive_is_resolving(n, S.members)[1], S
 
 
+def rank_path(signs):
+    """The rank path's witness, whatever its cost against meet in the middle."""
+    return mdim.resolve._rank_witness(signs, *mdim.resolve._echelon(signs))
+
+
+def test_rank_and_mitm_paths_match_bruteforce():
+    # both paths called directly; every fourth set may reach n = 12, where the brute force costs most
+    rng = Random(2727)
+    for i in range(3000):
+        n = rng.randint(1, 12 if i % 4 == 0 else 9)
+        S = random_landmarks(rng, n, rng.randint(1, n))
+        signs = mdim.resolve._signs(n, S.members)
+        expected = naive_is_resolving(n, S.members)[1]
+        assert rank_path(signs) == expected, S
+        assert mdim.resolve._mitm_witness(signs) == expected, S
+    for _ in range(60):
+        n = rng.randint(13, 24)
+        S = random_landmarks(rng, n, rng.randint(n - 8, n))
+        signs = mdim.resolve._signs(n, S.members)
+        assert rank_path(signs) == mdim.resolve._mitm_witness(signs), S
+
+
+@pytest.mark.parametrize("prime", [3, 5])
+def test_rank_path_confirms_its_lifts_exactly_at_small_primes(prime, monkeypatch, verdicts):
+    # over F_3 and F_5 a sign matrix often loses rank, and sign vectors that are kernel
+    # vectors over F_p alone lift: only the exact confirm B x = 0 keeps them out.  With no
+    # price on pivot steps, is_resolving and is_minimal take the rank path at these n too,
+    # wherever the candidates are few enough; is_minimal's groups still sort keys.
+    monkeypatch.setattr(mdim.resolve, "_PRIME", prime)
+    monkeypatch.setattr(mdim.resolve, "_PIVOT_KEYS", 0)
+    rng = Random(35 + prime)
+    spurious = 0
+    for _ in range(400):
+        n = rng.randint(1, 8)
+        S = random_landmarks(rng, n, rng.randint(1, n))
+        signs = mdim.resolve._signs(n, S.members)
+        products = np.array(list(itertools.product((-1, 0, 1), repeat=n))) @ signs
+        spurious += bool(((products % prime == 0).all(axis=1) & products.any(axis=1)).any())
+        expected = naive_is_resolving(n, S.members)
+        assert rank_path(signs) == expected[1], S
+        got = is_resolving(S)
+        assert (got.resolving, got.witness) == expected, S
+        if expected[0]:
+            removable = naive_removable(n, S.members)
+            assert is_minimal(S) == (not removable, removable), S
+    assert spurious >= 40, spurious  # 177 of the 400 sets at p = 3, 54 at p = 5
+    assert {"rank", "mitm"} <= set(verdicts)
+
+
 def test_resolves_matches_bfs_oracle():
     rng = Random(8008)
     cubes = {n: build_hypercube(n) for n in range(1, 9)}
@@ -161,7 +210,7 @@ def test_resolves_matches_bfs_oracle():
 
 
 def test_paper_sets_beyond_the_vertex_key_reach():
-    # a key per vertex would take 0.5-2 GiB here; the verifier sorts 3^13 + (3^13 + 1)/2 sign-vector keys
+    # a key per vertex would take 0.5-2 GiB here; the rank path reduces a 25 x 26 sign matrix
     for build in (basis_minimal_set, reduced_erdos_renyi_set):
         report = is_resolving(build(26))
         assert (report.resolving, report.witness, report.vertices_checked) == (True, None, 1 << 26)
@@ -170,6 +219,24 @@ def test_paper_sets_beyond_the_vertex_key_reach():
         # {2}, ..., {28} without {j}: no member tells {1} from {j}
         S = Landmarks(28, tuple(singleton(i) for i in range(2, 29) if i != j))
         assert is_resolving(S).witness == (1, 1 << (j - 1))
+
+
+def test_paper_kernel_lines():
+    # the n - 1 members of either family leave B of rank n - 1, so its kernel is the line
+    # through one integer vector; from n = 5 on that vector has the entry 3 - n, no sign
+    for n in range(5, DIMENSION_CAP + 1):
+        line = np.array([3 - n] + [1] * (n - 1))
+        for S, x in ((basis_minimal_set(n), line), (reduced_erdos_renyi_set(n), line[::-1])):
+            signs = mdim.resolve._signs(n, S.members)
+            rows, pivots = mdim.resolve._echelon(signs)
+            assert pivots.size == n - 1 and not (x @ signs).any(), (n, S)
+            assert mdim.resolve._rank_witness(signs, rows, pivots) is None
+            assert is_resolving(S).resolving
+    # at n = 4 the line is a sign vector, and gives the witness (pos x, neg x) up to sign
+    for members, witness in (((2, 4, 8), (1, 14)), ((14, 13, 11), (7, 8))):
+        S = Landmarks(4, members)
+        assert rank_path(mdim.resolve._signs(4, members)) == witness
+        assert is_resolving(S).witness == witness == naive_is_resolving(4, members)[1]
 
 
 @pytest.fixture(params=[1, 0], ids=["all-one-weights", "all-zero-weights"])
@@ -199,11 +266,11 @@ def test_resolves_confirms_key_matches_exactly(colliding_weights):
     for _ in range(300):
         n = rng.randint(1, 10)
         S = random_landmarks(rng, n, rng.randint(1, min(1 << n, n + 3)))
-        assert mdim.resolve._witness(mdim.resolve._signs(n, S.members)) == naive_is_resolving(n, S.members)[1], S
+        assert mdim.resolve._mitm_witness(mdim.resolve._signs(n, S.members)) == naive_is_resolving(n, S.members)[1], S
     assert overruled(colliding_weights) >= 50
 
 
-def test_confirm_path_matches_bruteforce(colliding_weights):
+def test_confirm_path_matches_bruteforce(colliding_weights, mitm_only):
     rng = Random(2718)
     for _ in range(60):
         n = rng.randint(2, 8)
@@ -218,7 +285,7 @@ def test_confirm_path_matches_bruteforce(colliding_weights):
     assert overruled(colliding_weights)
 
 
-def test_confirm_path_is_minimal_matches_bruteforce(colliding_weights):
+def test_confirm_path_is_minimal_matches_bruteforce(colliding_weights, mitm_only):
     rng = Random(3141)
     checked = 0
     while checked < 30:
@@ -236,7 +303,7 @@ def test_confirm_path_is_minimal_matches_bruteforce(colliding_weights):
 
 
 @pytest.mark.parametrize("weights", ["splitmix", "all-one", "all-zero"])
-def test_confirm_path_two_blocks_witness_independent_of_threads(weights, monkeypatch):
+def test_confirm_path_two_blocks_witness_independent_of_threads(weights, monkeypatch, mitm_only):
     if weights != "splitmix":
         fill = 1 if weights == "all-one" else 0
         monkeypatch.setattr(mdim.resolve, "_multipliers", lambda k: np.full(k, fill, dtype=np.uint64))
@@ -278,7 +345,7 @@ def test_verdict_keys_hold_the_left_keys_then_half_the_right_keys():
             assert np.array_equal(keys[3**h:], tagged_keys(right, side, kept)), (h, m)
 
 
-def test_left_key_ties_stay_out_of_the_exact_confirm(monkeypatch):
+def test_left_key_ties_stay_out_of_the_exact_confirm(monkeypatch, mitm_only):
     # No member uses coordinates 1 and 5, so each left key ties with those of y +- ({1} - {5}).
     # Only the hash of x = 0 also holds a right key, so the confirm gets y = 0, +-({1} - {5})
     # and z = 0, not the 45,927 tied left keys.
@@ -344,7 +411,8 @@ def test_marking_blocks_change_no_result_with_colliding_weights(block, bruteforc
 def test_threads_keep_their_own_key_buffers():
     # numpy releases the interpreter lock while it sorts, so threads writing one shared key
     # buffer would corrupt each other's verdicts; three threads, each running the calls in
-    # its own order, must get the serial reports
+    # its own order, must get the serial reports.  These is_resolving calls take the rank
+    # path; each is_minimal call sorts the keys of its two groups.
     calls = []
     for n in (20, 23):
         calls += [
@@ -384,7 +452,7 @@ def test_threads_keep_their_own_key_buffers():
         assert got[i] == [serial[j] for j in order], i
 
 
-def test_warm_verdict_allocates_nothing_key_sized():
+def test_warm_verdict_allocates_nothing_key_sized(mitm_only):
     # the n = 23 keys take 3.4 MiB; a warm verdict writes them into its thread's kept buffer
     # and marks the runs in blocks, so it allocates only small arrays
     S = basis_minimal_set(23)
@@ -398,7 +466,7 @@ def test_warm_verdict_allocates_nothing_key_sized():
     assert peak < 1 << 20, peak
 
 
-def test_matched_runs_share_no_memory_with_the_key_buffer():
+def test_matched_runs_share_no_memory_with_the_key_buffer(mitm_only):
     # a verdict's runs are arrays of their own: a later verdict rewrites the thread's key
     # buffer and leaves them as they were
     is_resolving(basis_minimal_set(23))
@@ -688,14 +756,11 @@ def test_is_minimal_confirms_group_pairs_exactly(monkeypatch):
     assert seen["rejected"] >= 1000 and seen["pairs"] > seen["rejected"], seen
 
 
-def test_is_minimal_splits_groups_whose_pairs_outnumber_the_keys(monkeypatch):
+def test_is_minimal_splits_groups_whose_pairs_outnumber_the_keys(monkeypatch, verdicts):
     # all-zero weights give every key hash 0: a group's pairs 3^h (3^m + 1)/2 outnumber its
     # verdict's 3^h + (3^m + 1)/2 keys, so groups split down to single members
     monkeypatch.setattr(mdim.resolve, "_multipliers", lambda k: np.zeros(k, dtype=np.uint64))
     seen = spy_on_needed(monkeypatch)
-    build = mdim.resolve._verdict_keys
-    verdicts = []
-    monkeypatch.setattr(mdim.resolve, "_verdict_keys", lambda *args: verdicts.append(1) or build(*args))
     rng = Random(4)
     for n in range(2, 9):
         for S in (random_resolving_landmarks(rng, n) for _ in range(3)):
@@ -707,13 +772,11 @@ def test_is_minimal_splits_groups_whose_pairs_outnumber_the_keys(monkeypatch):
     assert seen["pairs"] == 0
 
 
-def test_is_minimal_builds_three_key_sets(monkeypatch):
-    # S itself and one verdict per half of its members; k + 1 verdicts without the group check
-    build = mdim.resolve._verdict_keys
-    verdicts = []
-    monkeypatch.setattr(mdim.resolve, "_verdict_keys", lambda *args: verdicts.append(1) or build(*args))
+def test_is_minimal_runs_three_verdicts(verdicts):
+    # S itself, by the rank path, and one set of keys per half of its members; k + 1 verdicts
+    # without the group check
     assert is_minimal(basis_minimal_set(20)) == (True, [])
-    assert len(verdicts) == 3
+    assert verdicts == ["rank", "mitm", "mitm"]
 
 
 @pytest.mark.parametrize(
@@ -726,12 +789,9 @@ def test_is_minimal_builds_three_key_sets(monkeypatch):
         (11, (648, 1282, 1262, 171, 959, 0, 17, 543, 1599), [], False),
     ],
 )
-def test_is_minimal_splits_groups_under_the_splitmix_weights(monkeypatch, n, members, removable, single):
+def test_is_minimal_splits_groups_under_the_splitmix_weights(monkeypatch, verdicts, n, members, removable, single):
     # sets found by sampling whose halves' pairs outnumber their keys under the real weights:
     # S itself, two halves and two groups split from one of them make five verdicts
-    build = mdim.resolve._verdict_keys
-    verdicts = []
-    monkeypatch.setattr(mdim.resolve, "_verdict_keys", lambda *args: verdicts.append(1) or build(*args))
     witness = mdim.resolve._witness
     widths = []
     monkeypatch.setattr(mdim.resolve, "_witness", lambda signs: widths.append(signs.shape[1]) or witness(signs))
