@@ -25,7 +25,7 @@ import time
 from .construct import CATALOG, catalog_rows
 from .core import format_vertex, parse_landmarks
 from .graphs import is_resolving_general, load_graph
-from .resolve import _minimality, _signs, is_resolving
+from .resolve import _minimality, is_resolving
 from .search import min_resolving_size
 
 SCHEMA_VERSION = "3"
@@ -68,17 +68,15 @@ def cmd_verify(args) -> tuple[dict, dict, int]:
 
 def cmd_minimal(args) -> tuple[dict, dict, int]:
     S = parse_landmarks(args.set, args.n)
-    report = is_resolving(S)
-    # the verdict of S is in the report: _minimality runs only its groups' verdicts
-    minimal, removable = _minimality(_signs(S.n, S.members), S.members) if report.resolving else (None, None)
+    witness, removable = _minimality(S)
     inputs = {"n": args.n, "set": _fmt(S.members, args.n)}
     result = {
-        "resolving": report.resolving,
-        "witness": _fmt(report.witness, args.n),
-        "minimal": minimal,
+        "resolving": witness is None,
+        "witness": _fmt(witness, args.n),
+        "minimal": None if witness else not removable,
         "removable": _fmt(removable, args.n),
     }
-    return inputs, result, 0 if report.resolving else 1
+    return inputs, result, 0 if witness is None else 1
 
 
 def cmd_construct(args) -> tuple[dict, dict, int]:

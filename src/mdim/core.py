@@ -28,10 +28,12 @@ from typing import Iterator
 # peak RSS, about half of it in np.unique's argsort.  The rank path
 # decides basis_minimal_set(28), {2..28} without {5} and a random 28-set
 # in about 1 ms at 29.1-29.6 MiB peak RSS in a fresh process, within 1 MiB
-# of the process before the call.  is_minimal still runs one MITM verdict
-# per half of its members and checks the group pairs in blocks of at most
-# 8,192: at n = 28, is_minimal(basis_minimal_set(28)) took 0.42-0.50 s at
-# 105 MiB peak RSS in a fresh process.  Vertices also stay inside a uint32.
+# of the process before the call.  is_minimal of basis_minimal_set(28) or
+# reduced_erdos_renyi_set(28) takes one elimination of the same kind, in
+# 1.1-2.1 ms at 1.0 MiB above the process before the call; its MITM group
+# verdicts took 0.42-0.52 s at 105 MiB.  is_minimal of a set that the rank
+# path does not take still runs one MITM verdict per half of its members.
+# Vertices also stay inside a uint32.
 DIMENSION_CAP = 28
 
 Vertex = int

@@ -64,18 +64,34 @@ _lookup sums the rows an index's digits pick.  That one pair gives the
 exact rows B y and -B z, the ranks (pos x, neg x) and plain sign vectors.
 
 Minimality asks, for each member j of a resolving S, whether S - j still
-resolves.  Write B_G for the rows of B of a group G of members.  j in G
-is needed (S - j fails) exactly when some nonzero x with B_{S-G} x = 0
-has B_G x nonzero at j alone: such an x is a kernel vector of S - j, and
-every kernel vector of S - j is one (it is no kernel vector of S, so B x
-is nonzero at j).  One verdict of S - G therefore decides every member
-of G, from the left-right key pairs of its matched runs: those are its
-kernel vectors up to sign, and B_G x and B_G (-x) have one support.
-Each pair is confirmed exactly against B before it counts.  is_minimal
-runs the verdict of S and one per half of its members, splitting a half
-again only when its pairs, counted from the run sizes before any is
-formed, outnumber that verdict's keys.  A group of one member j goes
-through is_resolving's own witness routine on S - j.
+resolves: j is needed (S - j fails) exactly when some nonzero x has B x
+nonzero at j alone, since such an x is a kernel vector of S - j, and
+every kernel vector of S - j is one (it is no kernel vector of S).  A set
+of at most n members that _minimality_rank_pays prices below the verdicts
+it replaces takes one elimination: _echelon_with_transform reduces B and
+carries the k x k transform E with E B = [rows; 0] over F_p.  Its rows and
+pivots decide S through _rank_witness.  B x = lambda e_j gives E B x =
+lambda E e_j, so column j of E turns S's echelon form into that of S - j:
+the same free columns when b_j depends on the other rows mod p, otherwise
+one more, with every other pivot kept.  _rank_needed enumerates the
+(3^(d+1) - 1)/2 candidates of every member in one array, lifts them as
+the rank path does, and counts a lifted x only when B x, computed exactly
+in integers, is nonzero at one member alone.  The paper's sets, with
+d = 1, take 4 candidates per member.  The rule admits sets from n = 14
+on, those of about 2n/3 + 1 to n members whose rank is close to k; on at
+most 13 coordinates the pivot steps are priced above the keys of the
+three verdicts, though the elimination measures faster from n = 6 on.
+
+The other sets go member group by member group.  Write B_G for the rows
+of B of a group G.  j in G is needed exactly when some nonzero x with
+B_{S-G} x = 0 has B_G x nonzero at j alone, so one verdict of S - G
+decides every member of G, from the left-right key pairs of its matched
+runs: those are its kernel vectors up to sign, and B_G x and B_G (-x)
+have one support.  Each pair is confirmed exactly against B before it
+counts.  This route runs the verdict of S and one per half of its
+members, splitting a half again only when its pairs, counted from the
+run sizes before any is formed, outnumber that verdict's keys.  A group
+of one member j goes through is_resolving's own witness routine on S - j.
 
 The keys go into a buffer that each thread keeps between verdicts (numpy
 releases the interpreter lock while it sorts, so threads cannot share
@@ -85,8 +101,9 @@ the sorted keys, so a verdict's other arrays are sized by its candidates,
 and a warm verdict takes no page faults.  On a 2 vCPU Xeon, in a fresh
 process, is_resolving(basis_minimal_set(28)) takes the rank path in about
 1.1 ms at 29.4 MiB peak RSS (0.15-0.19 s at 84.6 MiB by MITM), and
-is_minimal of it 0.42-0.50 s at 105 MiB, nearly all in the MITM verdicts
-of its two groups.
+is_minimal of it, or of reduced_erdos_renyi_set(28), one elimination in
+1.1-2.1 ms, 1.0 MiB above the process before the call (0.42-0.52 s at
+105 MiB by the MITM verdicts of two groups).
 """
 
 from __future__ import annotations
@@ -379,23 +396,21 @@ def _rank_pays(n: int, k: int, d: int) -> bool:
     return k * _PIVOT_KEYS + (3**d - 1) // 2 * (n - d) <= _key_count(n // 2, n - n // 2)
 
 
-def _echelon(signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """B reduced over F_p, p = _PRIME: (rows, pivots), the nonzero rows and their pivot columns.
+def _reduce(rows: np.ndarray, n: int) -> tuple[list[int], np.ndarray]:
+    """Gauss-Jordan over F_p, p = _PRIME, in place on int64 residue rows, pivoting in their first n columns.
 
-    Gauss-Jordan without division: each member's row q, once the pivots
-    before it are cleared from it, pivots on its largest residue a = q_c,
-    and every other row r becomes a r - r_c q.  A row that clears to zero
-    depends on those before it.  So pivot column pivots[i] is zero in
-    every row but row i, and x is a kernel vector of B over F_p exactly
-    when rows[i] . x = 0 for every i: its free entries fix the others.
+    Returns (kept, pivots): the rows that pivot, in order, and their pivot
+    columns.  Without division: each row q, once the pivots before it are
+    cleared from it, pivots on the largest residue a = q_c of its first n
+    columns, and every other row r becomes a r - r_c q, across all its
+    columns.  A row whose first n columns clear to zero depends on those
+    before it.
     """
     p = _PRIME
-    rows = signs.T.astype(np.int64)
-    rows %= p
     update = np.empty_like(rows)
     kept, pivots = [], []
     for i, row in enumerate(rows):
-        c = row.argmax()
+        c = row[:n].argmax()
         a = int(row[c])
         if not a:
             continue
@@ -406,7 +421,37 @@ def _echelon(signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         rows %= p
         kept.append(i)
         pivots.append(c)
-    return rows[kept], np.array(pivots, dtype=np.intp)
+    return kept, np.array(pivots, dtype=np.intp)
+
+
+def _echelon(signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """B reduced over F_p by _reduce: (rows, pivots), the nonzero rows and their pivot columns.
+
+    Pivot column pivots[i] is zero in every row but row i, and x is a
+    kernel vector of B over F_p exactly when rows[i] . x = 0 for every i:
+    its free entries fix the others.
+    """
+    rows = signs.T.astype(np.int64)
+    rows %= _PRIME
+    kept, pivots = _reduce(rows, len(signs))
+    return rows[kept], pivots
+
+
+def _echelon_with_transform(signs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_echelon's (rows, pivots), and the k x k transform E with E B = [rows; 0] over F_p.
+
+    B is reduced with I_k appended to its rows, so the appended part of
+    each row is the combination of members it has become: E's first rows
+    belong to the pivot rows, in order, its last ones to the rows that
+    cleared.  Every step of _reduce is invertible, and so is E.
+    """
+    n, k = signs.shape
+    rows = np.concatenate([signs.T, np.eye(k, dtype=np.int8)], axis=1).astype(np.int64)
+    rows %= _PRIME
+    kept, pivots = _reduce(rows, n)
+    cleared = np.ones(k, dtype=bool)
+    cleared[kept] = False
+    return rows[kept, :n], pivots, rows[kept + np.flatnonzero(cleared).tolist(), n:]
 
 
 def _rank_witness(signs: np.ndarray, rows: np.ndarray, pivots: np.ndarray) -> tuple[int, int] | None:
@@ -556,41 +601,134 @@ def _needed_in(signs: np.ndarray, rows: tuple, members: np.ndarray) -> np.ndarra
     return needed
 
 
-def _minimality(signs: np.ndarray, members: tuple[Vertex, ...]) -> tuple[bool, list[Vertex]]:
-    """is_minimal's answer for the members of a resolving set, given their n x k matrix of _signs.
-
-    The caller has run the verdict of the whole set; this runs only the
-    verdicts of its groups.
-    """
-    k = len(members)
+def _group_needed(signs: np.ndarray) -> np.ndarray:
+    """Which members of a resolving set are needed, as a mask, by _needed_in's group verdicts, from two halves of them."""
+    k = signs.shape[1]
     if k == 1:
-        return True, []  # the empty set never resolves (n >= 1)
+        return np.ones(1, dtype=bool)  # the empty set never resolves (n >= 1)
     rows = _row_tables(signs)
-    needed = np.logical_or.reduce([_needed_in(signs, rows, half) for half in np.array_split(np.arange(k), 2)])
-    removable = [s for s, keep in zip(members, needed) if not keep]
-    return not removable, removable
+    return np.logical_or.reduce([_needed_in(signs, rows, half) for half in np.array_split(np.arange(k), 2)])
+
+
+def _minimality_rank_pays(n: int, k: int, d: int) -> bool:
+    """Whether one elimination that carries its transform costs fewer keys than the verdicts it replaces.
+
+    It decides S with (3^d - 1)/2 candidates, and its k members with
+    (3^(d+1) - 1)/2 candidates each, all of n - d residues.  It replaces
+    the verdict of S, priced as _witness would run it, and two MITM group
+    verdicts.
+    """
+    keys = _key_count(n // 2, n - n // 2)
+    rank = k * _PIVOT_KEYS + (3**d - 1) // 2 * (n - d)
+    return rank + k * (3 ** (d + 1) - 1) // 2 * (n - d) <= min(rank, keys) + 2 * keys
+
+
+def _rank_needed(signs: np.ndarray, rows: np.ndarray, pivots: np.ndarray, transform: np.ndarray) -> np.ndarray:
+    """Which members of a resolving set are needed, as a mask, from its _echelon_with_transform.
+
+    B_{S-j} x = 0 exactly when B x = lambda e_j for some lambda, that is
+    when E B x = lambda E e_j for the transform E.  Column j of E decides
+    how the kernel of S - j over F_p looks:
+    - nonzero on a row that cleared: lambda = 0, and the kernel is S's own,
+      with the same free columns;
+    - otherwise, with u its part on the pivot rows and a row i* where
+      u_i* != 0: x is a kernel vector exactly when
+      u_i* rows[i] . x = u_i rows[i*] . x for every i.  That is again in
+      Gauss-Jordan form: pivot column c_i* becomes free, and every other
+      pivot keeps its column, with scale u_i* a_i for a_i = rows[i, c_i].
+
+    A candidate of member j puts a sign vector on S's free columns, with
+    sums s of the rows over them, and t = 1 or 0 on c_i*; when t = 0 the
+    sign vector's highest nonzero entry is +1: (3^(d+1) - 1)/2 candidates.
+    Pivot c_i then needs u_i* a_i x_c_i = -(u_i* s_i - u_i (s_i* + a_i* t)),
+    and _rank_witness's rule lifts it; for i = i* that gives x_c_i* = t.
+    When lambda = 0, u_i* = 1 and u = 0 stand in: each pivot needs
+    a_i x_c_i = -s_i, as for S, and t goes nowhere, so the candidates with
+    t = 1 only repeat those with t = 0 up to sign, and x = 0.  The
+    sums are shared, so all members' residues come from one array of shape
+    (candidates, members, rank), in blocks of at most _PAIR_BLOCK residues.
+    A lifted x counts when B x, computed exactly in integers, is nonzero at
+    one member alone (_needed).  As on the rank path, every kernel vector of
+    S - j in {-1,0,1}^n, or its negative, is a lifted candidate, and the
+    exact check rejects the kernel vectors of F_p alone.
+    """
+    p = _PRIME
+    n, k = signs.shape
+    r = pivots.size
+    d = n - r
+    free = np.ones(n, dtype=bool)
+    free[pivots] = False
+    scale = rows[np.arange(r), pivots]
+    coeffs = rows[:, free].T
+    sums = _lookup(np.arange(3**d), _tables(coeffs, p - coeffs))
+    sums %= p
+    # every free sign vector with t = 1, then those whose highest nonzero entry is +1 with t = 0
+    index = np.concatenate([np.arange(3**d)] + [np.arange(3**i, 2 * 3**i) for i in range(d)])
+    t = (np.arange(index.size) < 3**d).astype(np.int64)
+    u, cleared = transform[:r], transform[r:].any(axis=0)
+    star = (u != 0).argmax(axis=0)
+    alpha = np.where(cleared, 1, u[star, np.arange(k)])
+    beta = np.where(cleared, 0, u).T  # (members, rank)
+    scales = alpha[:, None] * scale % p
+    needed = np.zeros(k, dtype=bool)
+    block = max(_PAIR_BLOCK // (k * r), 1)
+    for start in range(0, index.size, block):
+        c = slice(start, start + block)
+        s = sums[index[c]]
+        star_sums = s[:, star] + scale[star] * t[c, None]
+        star_sums %= p
+        residues = alpha[:, None] * s[:, None, :]  # (candidates, members, rank)
+        residues -= beta * star_sums[:, :, None]
+        residues %= p
+        plus, minus = residues == p - scales, residues == scales
+        lifts = (plus | minus | (residues == 0)).all(axis=2)
+        at, member = lifts.nonzero()
+        if not at.size:
+            continue
+        x = np.zeros((at.size, n), dtype=np.int8)
+        x[:, free] = _sign_vectors(index[c][at], d)
+        x[:, pivots] = plus[at, member]
+        x[:, pivots] -= minus[at, member]
+        needed |= _needed((x @ signs).T, np.ones(k, dtype=bool))
+        if needed.all():
+            break
+    return needed
+
+
+def _removable(members: tuple[Vertex, ...], needed: np.ndarray) -> list[Vertex]:
+    return [s for s, keep in zip(members, needed) if not keep]
+
+
+def _minimality(S: Landmarks) -> tuple[tuple[int, int] | None, list[Vertex] | None]:
+    """(witness, removable): S's _witness, and when S resolves, its members that can go, in member order.
+
+    A set of at most n members that _minimality_rank_pays prices below the
+    MITM verdicts is decided by one _echelon_with_transform: S through
+    _rank_witness, every member through _rank_needed.  Otherwise S takes
+    _witness and its members _group_needed.
+    """
+    _check(S)
+    signs = _signs(S.n, S.members)
+    n, k = signs.shape
+    if k <= n and _minimality_rank_pays(n, k, n - k):
+        rows, pivots, transform = _echelon_with_transform(signs)
+        if _minimality_rank_pays(n, k, n - pivots.size):
+            witness = _rank_witness(signs, rows, pivots)
+            return witness, None if witness else _removable(S.members, _rank_needed(signs, rows, pivots, transform))
+    witness = _witness(signs)
+    return witness, None if witness else _removable(S.members, _group_needed(signs))
 
 
 def is_minimal(S: Landmarks, *, threads: int = 1) -> tuple[bool, list[Vertex]]:
     """Which members can be deleted with the rest still resolving?
 
-    Returns (minimal, removable), removable in member order.  Single
-    deletions suffice: a resolving proper subset of S lies inside some S
-    minus one member, and every superset of a resolving set resolves too.
-    They are decided a group of members at a time (see the module
-    docstring): a member j of a group G is needed exactly when some kernel
-    vector x of S - G has B_G x nonzero at j alone.  The members start as
-    two halves, so a set usually costs three verdicts: S itself, which
-    raises ValueError when S does not resolve, and one of S - G per half
-    G.  The verdict of S, and that of S - j for a group of one member j,
-    is is_resolving's own, by the rank path where it is priced below meet
-    in the middle; the verdicts of larger groups are always meet in the
-    middle, since they read its key pairs.  A group whose pairs outnumber
-    its verdict's keys is split in two.  ``threads`` is ignored; it stays
-    because the benchmark's workloads still pass it.
+    Returns (minimal, removable), removable in member order; raises
+    ValueError when S does not resolve.  Single deletions suffice: a
+    resolving proper subset of S lies inside some S minus one member, and
+    every superset of a resolving set resolves too.  ``threads`` is
+    ignored; it stays because the benchmark's workloads still pass it.
     """
-    _check(S)
-    signs = _signs(S.n, S.members)
-    if _witness(signs) is not None:
+    witness, removable = _minimality(S)
+    if witness is not None:
         raise ValueError("minimality is only defined for resolving sets")
-    return _minimality(signs, S.members)
+    return not removable, removable

@@ -97,11 +97,11 @@ def test_minimal_of_padded_set(capsys):
 
 
 def test_minimal_runs_the_verdict_of_the_set_once(capsys, verdicts):
-    # the verdict of S, by the rank path, then one per half of its members
+    # one elimination: the verdict of S by the rank path, then every member at once
     S = basis_minimal_set(20)
     code, record = run_record(capsys, "minimal", "--n", "20", "--set", ",".join(format_vertex(v, 20) for v in S))
     assert (code, record["result"]["minimal"], record["result"]["removable"]) == (0, True, [])
-    assert verdicts == ["rank", "mitm", "mitm"]
+    assert verdicts == ["rank", "rank-members"]
 
 
 def test_minimal_rejects_non_resolving_with_exit_one(capsys):

@@ -12,7 +12,7 @@ import pytest
 import mdim.resolve
 from helpers import naive_is_resolving, permute_vertex, random_landmarks, random_resolving_landmarks
 from mdim.construct import basis_minimal_set, erdos_renyi_set, reduced_erdos_renyi_set
-from mdim.core import DIMENSION_CAP, Landmarks, all_ones, singleton, translate_set
+from mdim.core import DIMENSION_CAP, Landmarks, all_ones, hamming_distance, singleton, translate_set
 from mdim.graphs import build_hypercube, is_resolving_general
 from mdim.resolve import (
     distance_vector,
@@ -174,9 +174,10 @@ def test_rank_and_mitm_paths_match_bruteforce():
 @pytest.mark.parametrize("prime", [3, 5])
 def test_rank_path_confirms_its_lifts_exactly_at_small_primes(prime, monkeypatch, verdicts):
     # over F_3 and F_5 a sign matrix often loses rank, and sign vectors that are kernel
-    # vectors over F_p alone lift: only the exact confirm B x = 0 keeps them out.  With no
-    # price on pivot steps, is_resolving and is_minimal take the rank path at these n too,
-    # wherever the candidates are few enough; is_minimal's groups still sort keys.
+    # vectors over F_p alone lift: only the exact confirms, B x = 0 for a set and B x nonzero
+    # at one member alone for is_minimal, keep them out.  With no price on pivot steps,
+    # is_resolving and is_minimal take the rank path at these n too, wherever the candidates
+    # are few enough.
     monkeypatch.setattr(mdim.resolve, "_PRIME", prime)
     monkeypatch.setattr(mdim.resolve, "_PIVOT_KEYS", 0)
     rng = Random(35 + prime)
@@ -195,7 +196,65 @@ def test_rank_path_confirms_its_lifts_exactly_at_small_primes(prime, monkeypatch
             removable = naive_removable(n, S.members)
             assert is_minimal(S) == (not removable, removable), S
     assert spurious >= 40, spurious  # 177 of the 400 sets at p = 3, 54 at p = 5
-    assert {"rank", "mitm"} <= set(verdicts)
+    assert {"rank", "mitm", "rank-members"} <= set(verdicts)
+
+
+def rank_needed(signs):
+    """The rank path's needed members, whatever its cost against the group verdicts."""
+    return mdim.resolve._rank_needed(signs, *mdim.resolve._echelon_with_transform(signs))
+
+
+def test_rank_and_group_minimality_match_bruteforce():
+    # both paths called directly on seeded resolving sets; a third of the sets at n <= 12 hold a
+    # member and its complement, whose rows b and -b make B's rows linearly dependent.  Every
+    # fourth set may reach n = 12, where the brute force costs most.
+    rng = Random(2828)
+    checked = dependent = 0
+    while checked < 300:
+        n = rng.randint(2, 12 if checked % 4 == 0 else 9)
+        members = random_landmarks(rng, n, rng.randint(max(n // 2, 1), n)).members
+        if checked % 3 == 0 and len(members) >= 2:
+            members = (members[0], members[0] ^ ((1 << n) - 1)) + members[2:]
+            if len(set(members)) < len(members):
+                continue
+        signs = mdim.resolve._signs(n, members)
+        if mdim.resolve._witness(signs) is not None:
+            continue
+        assert naive_is_resolving(n, members)[0], (n, members)
+        rows, pivots, transform = mdim.resolve._echelon_with_transform(signs)
+        # E B = [rows; 0] over F_p, and E has full rank there
+        reduced = np.zeros((len(members), n), dtype=np.int64)
+        reduced[:pivots.size] = rows
+        assert np.array_equal(transform @ signs.T % mdim.resolve._PRIME, reduced), (n, members)
+        assert mdim.resolve._echelon(transform.T)[1].size == len(members), (n, members)
+        removable = naive_removable(n, members)
+        expected = [s not in removable for s in members]
+        assert mdim.resolve._rank_needed(signs, rows, pivots, transform).tolist() == expected, (n, members)
+        assert mdim.resolve._group_needed(signs).tolist() == expected, (n, members)
+        dependent += pivots.size < len(members)
+        checked += 1
+    assert dependent >= 80, dependent
+    checked = 0
+    while checked < 40:
+        n = rng.randint(13, 24)
+        S = random_landmarks(rng, n, rng.randint(n - 5, n))
+        signs = mdim.resolve._signs(n, S.members)
+        if mdim.resolve._witness(signs) is None:
+            assert np.array_equal(rank_needed(signs), mdim.resolve._group_needed(signs)), S
+            checked += 1
+
+
+def test_paper_sets_are_minimal_up_to_the_cap():
+    # the minimality half of the paper's claim, certified with plain distances: without any
+    # member j, is_resolving names two distinct vertices that every other member is equally
+    # far from, so no member of either family can go
+    for n in range(5, DIMENSION_CAP + 1):
+        for S in (basis_minimal_set(n), reduced_erdos_renyi_set(n)):
+            assert is_minimal(S) == (True, []), S
+            for j in range(len(S.members)):
+                rest = S.members[:j] + S.members[j + 1:]
+                u, v = is_resolving(Landmarks(n, rest)).witness
+                assert u != v and all(hamming_distance(u, s) == hamming_distance(v, s) for s in rest), (S, j)
 
 
 def test_resolves_matches_bfs_oracle():
@@ -408,11 +467,11 @@ def test_marking_blocks_change_no_result_with_colliding_weights(block, bruteforc
     assert overruled(colliding_weights)
 
 
-def test_threads_keep_their_own_key_buffers():
+def test_threads_keep_their_own_key_buffers(mitm_only):
     # numpy releases the interpreter lock while it sorts, so threads writing one shared key
     # buffer would corrupt each other's verdicts; three threads, each running the calls in
-    # its own order, must get the serial reports.  These is_resolving calls take the rank
-    # path; each is_minimal call sorts the keys of its two groups.
+    # its own order, must get the serial reports.  Every call is forced onto sorted keys:
+    # each is_resolving call sorts one set, each is_minimal call those of S and its two groups.
     calls = []
     for n in (20, 23):
         calls += [
@@ -772,11 +831,12 @@ def test_is_minimal_splits_groups_whose_pairs_outnumber_the_keys(monkeypatch, ve
     assert seen["pairs"] == 0
 
 
-def test_is_minimal_runs_three_verdicts(verdicts):
-    # S itself, by the rank path, and one set of keys per half of its members; k + 1 verdicts
-    # without the group check
+def test_is_minimal_runs_one_elimination(verdicts):
+    # one elimination decides S by the rank path and then all of its members at once; the
+    # group check would sort one set of keys per half of the members, and k + 1 verdicts
+    # without it
     assert is_minimal(basis_minimal_set(20)) == (True, [])
-    assert verdicts == ["rank", "mitm", "mitm"]
+    assert verdicts == ["rank", "rank-members"]
 
 
 @pytest.mark.parametrize(
