@@ -27,20 +27,29 @@ phi-containing k-subset also serves find_all_min_sets, which lists every
 hit, and is the reference the tests compare against.
 
 Both scans grow their candidates by one technique, _children: depth
-first, one position at a time, children ascending after their parent.
-The plain scan appends a member, the column scan a coordinate's column,
-so each level holds one block (all C(62, 3) = 37,820 prefixes of the
-(6, 5) listing would hold 75,640 words of running AND) and nothing is
-unranked.  The kernel decides a candidate without its 2^n distance
-vectors, by the detecting-matrix criterion the verifier uses: with phi
-in the set, it fails iff some nonzero sum-zero x in {-1,0,1}^n also sums
-to 0 on the ones of every other member.  A cached table holds one bit per
-such x up to sign for every vertex, (A002426(n) - 1) / 2 bits (70 at
-n = 6, 1,569 at n = 9, 36,894 at n = 12), so a candidate costs a few
-uint64 words per member past the first, and a plain-scan child one row
-ANDed into its parent's.  Every verdict is an existence question and
-every listing keeps enumeration order, so no report depends on the block
-size.
+first, children ascending after their parent, each block of a level
+finished before the next is cut.  The plain scan appends one member a
+step, so each level holds one block (all C(62, 3) = 37,820 prefixes of
+the (6, 5) listing would hold 75,640 words of running AND) and nothing
+is unranked.  The column scan appends one coordinate's column a step,
+but a cell's last j columns, as many as a cached table of at most 256
+increasing j-tuples holds, come in one step over its tuples, and cells
+taken whole share one step while their product fits in 256: the cell of
+6 coordinates over the 8 columns of {0,1}^3 is one step of C(8, 6) = 28
+tuples, not six, and the cells of 1, 1 and 4 coordinates over 4 columns
+one step of 16.  Its leaf blocks start at 256 candidates and double, so
+_extends(6, 5, (0,)), whose first hit is its 86th candidate, tests 251
+of them, not a first block of 5,966.
+
+The kernel decides a candidate without its 2^n distance vectors, by the
+detecting-matrix criterion the verifier uses: with phi in the set, it
+fails iff some nonzero sum-zero x in {-1,0,1}^n also sums to 0 on the
+ones of every other member.  A cached table holds one bit per such x up
+to sign for every vertex, (A002426(n) - 1) / 2 bits (70 at n = 6, 1,569
+at n = 9, 36,894 at n = 12), so a candidate costs a few uint64 words per
+member past the first, and a plain-scan child one row ANDed into its
+parent's.  Every verdict is an existence question and every listing
+keeps enumeration order, so no report depends on the block size.
 
 Minimum sizes for n >= 6 are not literature claims; they are values this
 search computes and certifies exhaustively within its guards.
@@ -51,7 +60,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import count
+from itertools import chain, combinations, count, repeat, takewhile
 from math import comb
 from typing import Iterator
 
@@ -62,11 +71,11 @@ from .core import Landmarks, check_dimension
 from .resolve import _sign_vectors, is_resolving
 
 # Default cost guard; --force overrides it up to FORCED_CAP.  `dimension
-# --n 8` takes 0.24-0.29 s of process wall time at 32.5 MiB peak RSS, of
-# which min_resolving_size(8) is 0.044-0.06 s, and `dimension --n 9
-# --force` 9.8-11.0 s at 33 MiB.  A stratum with no hit scans all of its
-# C(2^(k-1), n) column sets (C(32, 9) = 28 M at n = 9, k = 6, in 5,435
-# blocks of ~5,200, each 0.2-0.4 ms to grow and 0.9-1.3 ms in the kernel);
+# --n 8` takes 0.15-0.28 s of process wall time at 31.6 MiB peak RSS, of
+# which min_resolving_size(8) is 0.030-0.056 s, and `dimension --n 9
+# --force` 6.9-9.0 s at 32.6 MiB.  A stratum with no hit scans all of its
+# C(2^(k-1), n) column sets (C(32, 9) = 28 M at n = 9, k = 6, in 5,439
+# blocks of ~5,160, each 0.1-0.25 ms to grow and 0.4-1.0 ms in the kernel);
 # the kernel takes 19-22 ms a block of _CHUNK at n = 12, k = 7 (54 MiB,
 # 18.5 of it the table), on a 2 vCPU Xeon.
 EXHAUSTIVE_CAP = 8
@@ -149,17 +158,21 @@ def _resolving_mask(n: int, rows: np.ndarray) -> np.ndarray:
     return resolves
 
 
-def _children(low: np.ndarray, counts: np.ndarray, budget: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _children(
+    low: np.ndarray, counts: np.ndarray, budget: int | Iterator[int]
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield (parent, v) blocks: parent i once for each v in range(low[i], low[i] + counts[i]).
 
     Parents come whole and in order, each with its children ascending, as
     many as fit in budget children, or one parent alone if it exceeds it.
+    An iterator budget gives each block its own, in turn.
     """
+    budgets = repeat(budget) if isinstance(budget, int) else budget
     ends = counts.cumsum()
     starts = ends - counts
     lo = 0
     while lo < len(counts):
-        hi = max(int(ends.searchsorted(starts[lo] + budget, side="right")), lo + 1)
+        hi = max(int(ends.searchsorted(starts[lo] + next(budgets), side="right")), lo + 1)
         parent = np.arange(lo, hi).repeat(counts[lo:hi])
         v = (low[lo:hi] - starts[lo:hi]).repeat(counts[lo:hi])
         v += np.arange(starts[lo], ends[hi - 1])
@@ -236,26 +249,39 @@ def _columns(n: int, prefix: tuple[int, ...]) -> list[int]:
     return [sum((p >> i & 1) << j for j, p in enumerate(prefix)) for i in range(n)]
 
 
+@lru_cache(maxsize=None)
+def _increasing(j: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The increasing j-tuples of range(size) in lexicographic order, as bit planes, and where each first entry starts.
+
+    planes[p, b, t] is bit b of entry p of the t-th tuple, for b below
+    (size - 1).bit_length(); first[v], for v in range(size + 1), is the
+    first tuple whose first entry is >= v (the tuple count if none is).
+    """
+    tuples = np.array(list(combinations(range(size), j)), dtype=np.intp).reshape(-1, j)
+    planes = (tuples.T[:, None, :] >> np.arange((size - 1).bit_length())[:, None] & 1).astype(np.uint32)
+    first = tuples[:, 0].searchsorted(np.arange(size + 1))
+    planes.setflags(write=False)
+    first.setflags(write=False)
+    return planes, first
+
+
 def _grow_columns(
-    bits: np.ndarray, steps: list[tuple[int, int, int]], rows: np.ndarray, last: np.ndarray
+    steps: list[tuple[np.ndarray, int, np.ndarray]], rows: np.ndarray, start: np.ndarray, leaves: Iterator[int]
 ) -> Iterator[np.ndarray]:
     """Yield the member-major rows completed by steps, in blocks of at most _CHUNK.
 
-    Step (i, q, m) gives coordinate i, the q-th of a cell of m, a column
-    above last (from 0 when q = 0) that leaves room for the cell's m - q - 1
-    columns to come; a child ORs in bits[:, column] << i.
+    Step (block, stop, then) gives parent i one child for each table row
+    t in range(start[i], stop), which ORs in block[:, t] and starts the
+    next step at row then[t].  Leaf blocks take their budgets from leaves.
     """
-    (i, q, m), rest = steps[0], steps[1:]
-    low = last + 1 if q else np.zeros(len(last), dtype=np.intp)
+    (block, stop, then), rest = steps[0], steps[1:]
     # quarter blocks above the leaves: n full blocks alive at once raised the
     # forced n = 9 peak RSS from 33 to 37 MiB, and saved no time
-    for parent, v in _children(low, bits.shape[1] - m + q + 1 - low, _CHUNK // 4 if rest else _CHUNK):
+    for parent, t in _children(start, stop - start, _CHUNK // 4 if rest else leaves):
         grown = rows.take(parent, axis=1)
-        column = bits.take(v, axis=1)
-        column <<= i
-        grown |= column
+        grown |= block.take(t, axis=1)
         if rest:
-            yield from _grow_columns(bits, rest, grown, v)
+            yield from _grow_columns(rest, grown, then.take(t), leaves)
         else:
             yield grown
 
@@ -268,21 +294,59 @@ def _column_rows(n: int, k: int, prefix: tuple[int, ...]) -> Iterator[np.ndarray
     r = k - len(prefix) rows give each cell distinct r-bit columns, so up to
     those permutations a completion is one m-subset of {0,1}^r per cell of
     size m, assigned to the cell's coordinates in increasing order.  They
-    grow a column at a time, cell by cell, in lexicographic order of their
-    columns.  Block row j is member j: the prefix, then the completion,
-    whose row len(prefix) + j has bit i where coordinate i's column has bit j.
+    grow cell by cell, in lexicographic order of their columns: the cell's
+    first m - j columns one at a time, each leaving room for the columns to
+    come, and its last j in one step over the tuples of _increasing(j, 2^r);
+    a run of cells taken whole in one step each becomes one step over the
+    product of their tuples.  Block rows are members: the prefix, then the
+    completion, whose row len(prefix) + b has bit i where coordinate i's
+    column has bit b.
+
+    Leaf blocks hold at most min(256, _CHUNK) completions, then twice as
+    many, and so on up to _CHUNK, so that a scan with an early hit tests
+    few.  j is the largest count <= m whose table has at most that first
+    budget of tuples, and a product step stays within it too: while 2^r is
+    within it, no parent's children overflow a leaf block's budget.
     """
     r = k - len(prefix)
+    size = 1 << r
     cells: dict[int, list[int]] = {}
     for i, column in enumerate(_columns(n, prefix)):
         cells.setdefault(column, []).append(i)
-    if max(map(len, cells.values())) > 1 << r:
+    if max(map(len, cells.values())) > size:
         return
-    bits = np.zeros((k, 1 << r), dtype=np.uint32)
-    bits[len(prefix):] = np.arange(1 << r, dtype=np.uint32) >> np.arange(r, dtype=np.uint32)[:, None] & 1
-    steps = [(i, q, len(cell)) for cell in cells.values() for q, i in enumerate(cell)]
-    rows = np.array(prefix + (0,) * r, dtype=np.uint32)[:, None]
-    yield from _grow_columns(bits, steps, rows, np.zeros(1, dtype=np.intp))
+    first_leaves = min(256, _CHUNK)
+    steps, whole = [], False
+    for cell in cells.values():
+        m = len(cell)
+        j = max((j for j in range(1, m + 1) if comb(size, j) <= first_leaves), default=1)
+        tables = [_increasing(1 if q < m - j else j, size) for q in range(m - j + 1)]
+        coordinates = np.array(cell, dtype=np.uint32)[:, None, None]
+        for q, (planes, _) in enumerate(tables):
+            # completion row b of a child gets bit b of each column, at its coordinate
+            block = np.zeros((k, planes.shape[2]), dtype=np.uint32)
+            np.bitwise_or.reduce(planes << coordinates[q:q + len(planes)], axis=0, out=block[len(prefix):])
+            if q < m - j:
+                # a single column v leaves room for the m - q - 1 columns to come, and
+                # the next step starts at the first tuple above v
+                steps.append((block, size - (m - q - 1), tables[q + 1][1][1:]))
+                whole = False
+            elif q == 0 and whole and steps[-1][1] * block.shape[1] <= first_leaves:
+                # whole cells in a row: one step over the product of their tables
+                block = (steps[-1][0][:, :, None] | block[:, None, :]).reshape(k, -1)
+                steps[-1] = (block, block.shape[1], np.zeros(block.shape[1], dtype=np.intp))
+            else:
+                steps.append((block, block.shape[1], np.zeros(block.shape[1], dtype=np.intp)))
+                whole = q == 0
+    # the prefix is the first step's lone parent, which _children would give all
+    # its children, one per tuple, in one block: they are taken directly
+    (block, stop, then), rest = steps[0], steps[1:]
+    rows = block[:, :stop] | np.array(prefix + (0,) * r, dtype=np.uint32)[:, None]
+    if rest:
+        leaves = chain(takewhile(_CHUNK.__gt__, (first_leaves << e for e in count())), repeat(_CHUNK))
+        yield from _grow_columns(rest, rows, then[:stop], leaves)
+    else:
+        yield rows
 
 
 def _extends(n: int, k: int, prefix: tuple[int, ...]) -> bool:

@@ -327,15 +327,38 @@ def _cell_prefix(sizes):
                         for j in range(max(len(sizes) - 1, 0).bit_length()))
 
 
+def spy_on_tails(monkeypatch):
+    # the shape of each one-cell scan's last step: its tail takes all m columns at
+    # once, the last j of them for some 2 <= j < m, or a single column
+    increasing = mdim.search._increasing
+    counts = []
+    monkeypatch.setattr(mdim.search, "_increasing", lambda j, size: counts.append(j) or increasing(j, size))
+
+    def shape(sizes):
+        tail = counts[-1] if counts and len(sizes) == 1 else None
+        counts.clear()
+        return tail and ("whole" if tail == sizes[0] else "split" if tail > 1 else "single")
+
+    return shape
+
+
+# under _CHUNK = 97 a tail table holds at most 97 rows, and C(2^r, j) <= 97 for
+# some 2 <= j < 2^r only at 2^r <= 8, where every j fits: no split tail occurs
+TAIL_SHAPES = {97: {"whole", "single"}, mdim.search._CHUNK: {"whole", "split", "single"}}
+
+
 @pytest.mark.parametrize("chunk", [97, mdim.search._CHUNK])
 def test_choice_blocks_bound_rows_and_memory(monkeypatch, chunk):
     # every block of completions holds at most _CHUNK of them, and streaming
     # never holds much more than one block: C(32, 8) is the n = 8, k = 6
     # stratum, 336 MB if built at once, and at 97 per block, where it would
-    # take 108 K blocks, C(16, 8) stands in for it
+    # take 108 K blocks, C(16, 8) stands in for it; the cells of 6 over 8
+    # columns and of 4 and 5 over 16 take their last columns in one step
     monkeypatch.setattr(mdim.search, "_CHUNK", chunk)
+    shape = spy_on_tails(monkeypatch)
     cases = [([3], 2), ([1, 2], 2), ([2, 1, 1], 2), ([4], 2), ([1], 0), ([2, 3], 3), ([3, 5], 2), ([6], 5),
-             ([8], 4) if chunk == 97 else ([8], 5)]
+             ([8], 4) if chunk == 97 else ([8], 5), ([6], 3), ([4], 4), ([1, 5], 4)]
+    shapes = set()
     for sizes, r in cases:
         prefix = _cell_prefix(sizes)
         widths = []
@@ -346,9 +369,11 @@ def test_choice_blocks_bound_rows_and_memory(monkeypatch, chunk):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        shapes.add(shape(sizes))
         assert max(widths, default=0) <= chunk, (sizes, r)
         assert sum(widths) == prod(comb(1 << r, m) for m in sizes), (sizes, r)
         assert peak <= 2 << 20, (sizes, r, peak)
+    assert shapes - {None} == TAIL_SHAPES[chunk]
 
 
 def test_choice_blocks_stream_c32_8():
@@ -380,8 +405,10 @@ def test_column_choices_are_distinct_within_each_cell(monkeypatch):
     # cells' combinations, with the prefix rows untouched
     for chunk in (97, mdim.search._CHUNK):
         monkeypatch.setattr(mdim.search, "_CHUNK", chunk)
+        shape = spy_on_tails(monkeypatch)
+        shapes = set()
         for sizes, r in [([3], 2), ([1, 2], 2), ([2, 1, 1], 2), ([4], 2), ([1], 0), ([2, 3], 3), ([1, 1, 1, 1], 3),
-                         ([3, 5], 2)]:
+                         ([3, 5], 2), ([6], 3), ([4], 4), ([3], 4), ([1, 3], 4), ([2], 5)]:
             prefix = _cell_prefix(sizes)
             n, t = sum(sizes), len(prefix)
             choices = []
@@ -390,8 +417,52 @@ def test_column_choices_are_distinct_within_each_cell(monkeypatch):
                 assert block.dtype == np.uint32 and (block[:t].T == prefix).all()
                 for row in block[t:].T.tolist():
                     choices.append(tuple(sum((s >> i & 1) << j for j, s in enumerate(row)) for i in range(n)))
+            shapes.add(shape(sizes))
             cells = [itertools.combinations(range(1 << r), m) for m in sizes]
             assert choices == [sum(parts, ()) for parts in itertools.product(*cells)], (sizes, r)
+        assert shapes - {None} == TAIL_SHAPES[chunk], chunk
+        monkeypatch.undo()
+
+
+def test_increasing_lists_every_tuple_in_order():
+    # the bit planes spell itertools' combinations in their lexicographic order,
+    # and first[v] is the first tuple whose first entry is >= v (the tuple count
+    # when none is)
+    cases = [(j, size) for size in range(1, 33) for j in range(1, 5)] + [(size, size) for size in range(5, 33)]
+    for j, size in cases:
+        planes, first = mdim.search._increasing(j, size)
+        expected = list(itertools.combinations(range(size), j))
+        bits = (size - 1).bit_length()
+        assert planes.shape == (j, bits, len(expected)) and planes.dtype == np.uint32, (j, size)
+        assert not (planes >> 1).any(), (j, size)
+        tuples = (planes.astype(np.int64) << np.arange(bits)[:, None]).sum(axis=1).T
+        assert list(map(tuple, tuples.tolist())) == expected, (j, size)
+        starts = {}
+        for t, row in enumerate(expected):
+            starts.setdefault(row[0], t)
+        offsets = [min((t for a, t in starts.items() if a >= v), default=len(expected)) for v in range(size + 1)]
+        assert first.tolist() == offsets, (j, size)
+        assert not planes.flags.writeable and not first.flags.writeable
+        assert mdim.search._increasing(j, size)[0] is planes
+
+
+def test_leaf_blocks_start_small_and_double(monkeypatch):
+    # _extends(6, 5, (0,)) hits at its 86th completion: it tests at most 256 of
+    # them, where one first block of _CHUNK would hold 5,966; the n = 8, k = 5
+    # stratum has no hit, and its blocks double up to _CHUNK
+    kernel = mdim.search._resolving_mask
+    widths = []
+    monkeypatch.setattr(mdim.search, "_resolving_mask", lambda n, rows: widths.append(rows.shape[1]) or kernel(n, rows))
+    for chunk in (mdim.search._CHUNK, 97):
+        monkeypatch.setattr(mdim.search, "_CHUNK", chunk)
+        assert mdim.search._extends(6, 5, (0,))
+        assert sum(widths) <= 256 and max(widths) <= chunk, (chunk, widths)
+        widths.clear()
+        assert not mdim.search._extends(8, 5, (0,))
+        assert sum(widths) == comb(16, 8)
+        assert all(width <= min(256 << e, chunk) for e, width in enumerate(widths)), (chunk, widths)
+        assert len(widths) > 5
+        widths.clear()
 
 
 @pytest.mark.parametrize("pool,k", [(63, 4), (31, 5), (20, 3), (7, 7), (15, 0)])
