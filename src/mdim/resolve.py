@@ -10,7 +10,7 @@ detecting-matrix view of Lindstrom and of Sebo-Tannier).
 Write B for the k x n matrix of the b_s.  The rank path decides a set of
 k <= n members from B's kernel.  _echelon reduces B over F_p,
 p = 2^31 - 1, to its rank r, its pivot columns and its d = n - r free
-columns; d = 0 resolves at once.  Otherwise _rank_witness enumerates the
+columns; d = 0 resolves at once.  Otherwise _rank_kernel enumerates the
 (3^d - 1)/2 free sign vectors whose highest nonzero entry is +1, keeps
 those whose pivot entries come out as the residues 0, 1 or p - 1, lifts
 them to sign vectors x and confirms B x = 0 exactly in integers.  That is
@@ -68,19 +68,24 @@ resolves: j is needed (S - j fails) exactly when some nonzero x has B x
 nonzero at j alone, since such an x is a kernel vector of S - j, and
 every kernel vector of S - j is one (it is no kernel vector of S).  A set
 of at most n members that _minimality_rank_pays prices below the verdicts
-it replaces takes one elimination: _echelon_with_transform reduces B and
-carries the k x k transform E with E B = [rows; 0] over F_p.  Its rows and
-pivots decide S through _rank_witness.  B x = lambda e_j gives E B x =
-lambda E e_j, so column j of E turns S's echelon form into that of S - j:
-the same free columns when b_j depends on the other rows mod p, otherwise
-one more, with every other pivot kept.  _rank_needed enumerates the
-(3^(d+1) - 1)/2 candidates of every member in one array, lifts them as
-the rank path does, and counts a lifted x only when B x, computed exactly
-in integers, is nonzero at one member alone.  The paper's sets, with
-d = 1, take 4 candidates per member.  The rule admits sets from n = 14
-on, those of about 2n/3 + 1 to n members whose rank is close to k; on at
-most 13 coordinates the pivot steps are priced above the keys of the
-three verdicts, though the elimination measures faster from n = 6 on.
+it replaces takes one elimination and one pass: _echelon_with_transform
+reduces B and carries the k x k transform E with E B = [rows; 0] over
+F_p.  B x = lambda e_j gives E B x = lambda E e_j, so column j of E turns
+S's echelon form into that of S - j: the same free columns when b_j
+depends on the other rows mod p, otherwise one more, with every other
+pivot kept.  _rank_kernel takes S as a member whose column of E is
+cleared, enumerates the (3^d - 1)/2 candidates of S and the
+(3^(d+1) - 1)/2 of every member in one array, S's first, and lifts each
+by the rank path's rule.  A lifted x, with B x computed exactly in
+integers, is a kernel vector of S when B x = 0 and x != 0, and marks a
+member needed when B x is nonzero at it alone.  So S's witness and every
+member's verdict come from the same lifted rows; the pass may stop early
+only once S's own candidates are done.  The paper's sets, with d = 1,
+take 1 candidate for S and 4 per member.  The rule admits sets from
+n = 14 on, those of about 2n/3 + 1 to n members whose rank is close to
+k; on at most 13 coordinates the pivot steps are priced above the keys
+of the three verdicts, though the elimination measures faster from
+n = 6 on.
 
 The other sets go member group by member group.  Write B_G for the rows
 of B of a group G.  j in G is needed exactly when some nonzero x with
@@ -388,12 +393,19 @@ _PRIME = 2**31 - 1
 _PIVOT_KEYS = 512
 
 
-def _rank_pays(n: int, k: int, d: int) -> bool:
-    """Whether the rank path costs fewer keys than MITM's: k pivot steps, then (3^d - 1)/2 candidates of n - d residues.
+def _rank_cost(n: int, k: int, d: int, members: int = 0) -> int:
+    """The rank path's price in MITM keys: k pivot steps, then the candidates of S and of that many members.
 
-    A residue costs about what a key does (16-20 ns against 11-17 ns).
+    S has (3^d - 1)/2 candidates and a member (3^(d+1) - 1)/2, each of
+    n - d residues.  A residue costs about what a key does (16-20 ns
+    against 11-17 ns).
     """
-    return k * _PIVOT_KEYS + (3**d - 1) // 2 * (n - d) <= _key_count(n // 2, n - n // 2)
+    return k * _PIVOT_KEYS + ((3**d - 1) // 2 + members * (3 ** (d + 1) - 1) // 2) * (n - d)
+
+
+def _rank_pays(n: int, k: int, d: int) -> bool:
+    """Whether the rank path decides S for fewer keys than MITM's verdict."""
+    return _rank_cost(n, k, d) <= _key_count(n // 2, n - n // 2)
 
 
 def _reduce(rows: np.ndarray, n: int) -> tuple[list[int], np.ndarray]:
@@ -454,46 +466,114 @@ def _echelon_with_transform(signs: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     return rows[kept, :n], pivots, rows[kept + np.flatnonzero(cleared).tolist(), n:]
 
 
-def _rank_witness(signs: np.ndarray, rows: np.ndarray, pivots: np.ndarray) -> tuple[int, int] | None:
-    """_witness from the _echelon (rows, pivots) of the n x k matrix of _signs, by enumerating its free entries.
+def _rank_kernel(
+    signs: np.ndarray, rows: np.ndarray, pivots: np.ndarray, transform: np.ndarray | None = None
+) -> tuple[tuple[int, int] | None, np.ndarray | None]:
+    """(witness, needed) from the _echelon (rows, pivots) of the n x k matrix of _signs, by enumerating free entries.
 
-    A candidate assigns the d free entries a sign vector whose highest
+    witness is S's _witness.  needed, given the transform E of
+    _echelon_with_transform, masks the members j for which S - j fails,
+    read only when S resolves; it is None without E.
+
+    A candidate of S assigns the d free entries a sign vector whose highest
     nonzero entry is +1, (3^d - 1)/2 of them, decoded from the indices
-    [3^t, 2 3^t) by the _tables of the free columns.  Pivot i then needs
-    a x_pivot = -s, a = rows[i, pivots[i]] and s the sum of the rest of
-    row i, so x_pivot is 0, +1 or -1 when s is 0, p - a or a, and
-    otherwise the candidate lifts to no sign vector.  A lifted x is confirmed with B x = 0
-    exactly, which rejects the kernel vectors of F_p alone.  Every integer
-    kernel vector is a kernel vector over F_p, fixed by its free entries,
-    so it or its negative is a lifted candidate.
+    [3^t, 2 3^t) by the _tables of the free columns, with sums s of the
+    rows over them.  Pivot i then needs a_i x_c_i = -s_i for its column
+    c_i and a_i = rows[i, c_i], so x_c_i is 0, +1 or -1 when s_i is 0,
+    p - a_i or a_i, and otherwise the candidate lifts to no sign vector.
+
+    B_{S-j} x = 0 exactly when B x = lambda e_j for some lambda, that is
+    when E B x = lambda E e_j.  Column j of E decides how the kernel of
+    S - j over F_p looks:
+    - nonzero on a row that cleared: lambda = 0, and the kernel is S's own,
+      with the same free columns;
+    - otherwise, with u its part on the pivot rows and a row i* where
+      u_i* != 0: x is a kernel vector exactly when
+      u_i* rows[i] . x = u_i rows[i*] . x for every i.  That is again in
+      Gauss-Jordan form: c_i* becomes free, and every other pivot keeps its
+      column, with scale u_i* a_i.
+    A candidate of member j puts t = 0 or 1 on c_i*: S's candidates with
+    t = 0 come first, then every free sign vector with t = 1,
+    (3^(d+1) - 1)/2 in all.  Pivot c_i then needs
+    u_i* a_i x_c_i = -(u_i* s_i - u_i (s_i* + a_i* t)), lifted by the same
+    rule; for i = i* that gives x_c_i* = t.  A cleared column of E takes
+    u_i* = 1 and u = 0, and so does S, which enters as column 0: its
+    residues are the sums s.  t then goes nowhere, so past S's candidates a
+    cleared column would only give x = 0 and repeats up to sign; there it
+    gets p, which lifts nothing.  All columns' residues come from one array
+    of shape (candidates, 1 + k, rank), in blocks of at most _PAIR_BLOCK
+    residues; without E, S's alone are (candidates, rank).
+
+    Each lifted x is checked exactly in integers, which rejects the kernel
+    vectors of F_p alone: B x = 0 makes x a kernel vector of S (x = 0 is
+    never lifted), and B x nonzero at one member alone marks that member
+    (_needed).  Every integer kernel vector of S, or of S - j, is a kernel
+    vector over F_p, fixed by its free entries, so it or its negative is a
+    lifted candidate of S, or of j.  So once S's candidates are done, the
+    pass stops when S fails or every member is needed.
     """
     p = _PRIME
-    n = len(signs)
+    n, k = signs.shape
+    r = pivots.size
+    d = n - r
+    settled = (3**d - 1) // 2
+    index = [np.arange(3**i, 2 * 3**i) for i in range(d)]
+    if transform is not None:
+        index.append(np.arange(3**d))
+    if not index:
+        return None, None
+    index = np.concatenate(index)
     free = np.ones(n, dtype=bool)
     free[pivots] = False
-    d = n - pivots.size
-    if not d:
-        return None
-    index = np.concatenate([np.arange(3**t, 2 * 3**t) for t in range(d)])
+    scale = rows[np.arange(r), pivots]
     coeffs = rows[:, free].T
     sums = _lookup(index, _tables(coeffs, p - coeffs))
     sums %= p
-    scale = rows[np.arange(pivots.size), pivots]
-    plus, minus = sums == p - scale, sums == scale
-    lifts = (plus | minus | (sums == 0)).all(axis=1)
-    if not lifts.any():
-        return None
-    x = np.zeros((int(lifts.sum()), n), dtype=np.int8)
-    x[:, free] = _sign_vectors(index[lifts], d)
-    x[:, pivots] = plus[lifts]
-    x[:, pivots] -= minus[lifts]
-    x = x[~(x @ signs).any(axis=1)]
-    if not len(x):
-        return None
-    weights = np.left_shift(1, np.arange(n, dtype=np.int64))
-    pos, neg = (x == 1) @ weights, (x == -1) @ weights
-    rank = (np.minimum(pos, neg) << n | np.maximum(pos, neg)).min()
-    return divmod(int(rank), 1 << n)
+    needed, scales = None, scale
+    if transform is not None:
+        # S first, as a column of E that is zero on the pivot rows and cleared
+        u = np.concatenate([np.zeros((r, 1), dtype=np.int64), transform[:r]], axis=1)
+        cleared = np.concatenate([[True], transform[r:].any(axis=0)])
+        star = (u != 0).argmax(axis=0)
+        alpha = np.where(cleared, 1, u[star, np.arange(k + 1)])
+        beta = np.where(cleared, 0, u).T  # (1 + k, rank)
+        scales = alpha[:, None] * scale % p
+        t = (np.arange(index.size) >= settled).astype(np.int64)
+        needed = np.zeros(k, dtype=bool)
+    unset = 1 << 2 * n  # above every rank
+    best = unset
+    block = max(_PAIR_BLOCK // scales.size, 1)
+    for start in range(0, index.size, block):
+        c = slice(start, start + block)
+        if needed is None:
+            residues = sums[c]
+        else:
+            star_sums = sums[c][:, star] + scale[star] * t[c, None]
+            star_sums %= p
+            residues = alpha[:, None] * sums[c, None, :]  # (candidates, 1 + k, rank)
+            residues -= beta * star_sums[:, :, None]
+            residues %= p
+            residues[max(settled - start, 0):, cleared] = p  # p is no residue: these lift nothing
+        plus, minus = residues == p - scales, residues == scales
+        lifts = (plus | minus | (residues == 0)).all(axis=-1)
+        if lifts.any():
+            at = lifts.nonzero()[0]
+            x = np.zeros((at.size, n), dtype=np.int8)
+            x[:, free] = _sign_vectors(index[c][at], d)
+            x[:, pivots] = plus[lifts]
+            x[:, pivots] -= minus[lifts]
+            products = x @ signs
+            if start < settled:  # every kernel vector of S, or its negative, is among S's own candidates
+                kernel = x[~products.any(axis=1)]
+                if len(kernel):
+                    weights = np.left_shift(1, np.arange(n, dtype=np.int64))
+                    pos, neg = (kernel == 1) @ weights, (kernel == -1) @ weights
+                    best = min(best, int((np.minimum(pos, neg) << n | np.maximum(pos, neg)).min()))
+            if needed is not None:
+                needed |= _needed(products.T, np.ones(k, dtype=bool))
+        if needed is not None and start + block >= settled and (best < unset or needed.all()):
+            break
+    return None if best == unset else divmod(best, 1 << n), needed
 
 
 def _mitm_witness(signs: np.ndarray) -> tuple[int, int] | None:
@@ -516,7 +596,7 @@ def _witness(signs: np.ndarray) -> tuple[int, int] | None:
     if k <= n and _rank_pays(n, k, n - k):
         rows, pivots = _echelon(signs)
         if _rank_pays(n, k, n - pivots.size):
-            return _rank_witness(signs, rows, pivots)
+            return _rank_kernel(signs, rows, pivots)[0]
     return _mitm_witness(signs)
 
 
@@ -613,86 +693,11 @@ def _group_needed(signs: np.ndarray) -> np.ndarray:
 def _minimality_rank_pays(n: int, k: int, d: int) -> bool:
     """Whether one elimination that carries its transform costs fewer keys than the verdicts it replaces.
 
-    It decides S with (3^d - 1)/2 candidates, and its k members with
-    (3^(d+1) - 1)/2 candidates each, all of n - d residues.  It replaces
-    the verdict of S, priced as _witness would run it, and two MITM group
-    verdicts.
+    It replaces the verdict of S, priced as _witness would run it, and two
+    MITM group verdicts.
     """
     keys = _key_count(n // 2, n - n // 2)
-    rank = k * _PIVOT_KEYS + (3**d - 1) // 2 * (n - d)
-    return rank + k * (3 ** (d + 1) - 1) // 2 * (n - d) <= min(rank, keys) + 2 * keys
-
-
-def _rank_needed(signs: np.ndarray, rows: np.ndarray, pivots: np.ndarray, transform: np.ndarray) -> np.ndarray:
-    """Which members of a resolving set are needed, as a mask, from its _echelon_with_transform.
-
-    B_{S-j} x = 0 exactly when B x = lambda e_j for some lambda, that is
-    when E B x = lambda E e_j for the transform E.  Column j of E decides
-    how the kernel of S - j over F_p looks:
-    - nonzero on a row that cleared: lambda = 0, and the kernel is S's own,
-      with the same free columns;
-    - otherwise, with u its part on the pivot rows and a row i* where
-      u_i* != 0: x is a kernel vector exactly when
-      u_i* rows[i] . x = u_i rows[i*] . x for every i.  That is again in
-      Gauss-Jordan form: pivot column c_i* becomes free, and every other
-      pivot keeps its column, with scale u_i* a_i for a_i = rows[i, c_i].
-
-    A candidate of member j puts a sign vector on S's free columns, with
-    sums s of the rows over them, and t = 1 or 0 on c_i*; when t = 0 the
-    sign vector's highest nonzero entry is +1: (3^(d+1) - 1)/2 candidates.
-    Pivot c_i then needs u_i* a_i x_c_i = -(u_i* s_i - u_i (s_i* + a_i* t)),
-    and _rank_witness's rule lifts it; for i = i* that gives x_c_i* = t.
-    When lambda = 0, u_i* = 1 and u = 0 stand in: each pivot needs
-    a_i x_c_i = -s_i, as for S, and t goes nowhere, so the candidates with
-    t = 1 only repeat those with t = 0 up to sign, and x = 0.  The
-    sums are shared, so all members' residues come from one array of shape
-    (candidates, members, rank), in blocks of at most _PAIR_BLOCK residues.
-    A lifted x counts when B x, computed exactly in integers, is nonzero at
-    one member alone (_needed).  As on the rank path, every kernel vector of
-    S - j in {-1,0,1}^n, or its negative, is a lifted candidate, and the
-    exact check rejects the kernel vectors of F_p alone.
-    """
-    p = _PRIME
-    n, k = signs.shape
-    r = pivots.size
-    d = n - r
-    free = np.ones(n, dtype=bool)
-    free[pivots] = False
-    scale = rows[np.arange(r), pivots]
-    coeffs = rows[:, free].T
-    sums = _lookup(np.arange(3**d), _tables(coeffs, p - coeffs))
-    sums %= p
-    # every free sign vector with t = 1, then those whose highest nonzero entry is +1 with t = 0
-    index = np.concatenate([np.arange(3**d)] + [np.arange(3**i, 2 * 3**i) for i in range(d)])
-    t = (np.arange(index.size) < 3**d).astype(np.int64)
-    u, cleared = transform[:r], transform[r:].any(axis=0)
-    star = (u != 0).argmax(axis=0)
-    alpha = np.where(cleared, 1, u[star, np.arange(k)])
-    beta = np.where(cleared, 0, u).T  # (members, rank)
-    scales = alpha[:, None] * scale % p
-    needed = np.zeros(k, dtype=bool)
-    block = max(_PAIR_BLOCK // (k * r), 1)
-    for start in range(0, index.size, block):
-        c = slice(start, start + block)
-        s = sums[index[c]]
-        star_sums = s[:, star] + scale[star] * t[c, None]
-        star_sums %= p
-        residues = alpha[:, None] * s[:, None, :]  # (candidates, members, rank)
-        residues -= beta * star_sums[:, :, None]
-        residues %= p
-        plus, minus = residues == p - scales, residues == scales
-        lifts = (plus | minus | (residues == 0)).all(axis=2)
-        at, member = lifts.nonzero()
-        if not at.size:
-            continue
-        x = np.zeros((at.size, n), dtype=np.int8)
-        x[:, free] = _sign_vectors(index[c][at], d)
-        x[:, pivots] = plus[at, member]
-        x[:, pivots] -= minus[at, member]
-        needed |= _needed((x @ signs).T, np.ones(k, dtype=bool))
-        if needed.all():
-            break
-    return needed
+    return _rank_cost(n, k, d, k) <= min(_rank_cost(n, k, d), keys) + 2 * keys
 
 
 def _removable(members: tuple[Vertex, ...], needed: np.ndarray) -> list[Vertex]:
@@ -703,9 +708,9 @@ def _minimality(S: Landmarks) -> tuple[tuple[int, int] | None, list[Vertex] | No
     """(witness, removable): S's _witness, and when S resolves, its members that can go, in member order.
 
     A set of at most n members that _minimality_rank_pays prices below the
-    MITM verdicts is decided by one _echelon_with_transform: S through
-    _rank_witness, every member through _rank_needed.  Otherwise S takes
-    _witness and its members _group_needed.
+    MITM verdicts is decided by one _echelon_with_transform and one pass of
+    _rank_kernel over S and every member.  Otherwise S takes _witness and
+    its members _group_needed.
     """
     _check(S)
     signs = _signs(S.n, S.members)
@@ -713,8 +718,8 @@ def _minimality(S: Landmarks) -> tuple[tuple[int, int] | None, list[Vertex] | No
     if k <= n and _minimality_rank_pays(n, k, n - k):
         rows, pivots, transform = _echelon_with_transform(signs)
         if _minimality_rank_pays(n, k, n - pivots.size):
-            witness = _rank_witness(signs, rows, pivots)
-            return witness, None if witness else _removable(S.members, _rank_needed(signs, rows, pivots, transform))
+            witness, needed = _rank_kernel(signs, rows, pivots, transform)
+            return witness, None if witness else _removable(S.members, needed)
     witness = _witness(signs)
     return witness, None if witness else _removable(S.members, _group_needed(signs))
 

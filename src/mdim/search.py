@@ -67,8 +67,8 @@ from typing import Iterator
 import numpy as np
 
 from .construct import best_construction
-from .core import Landmarks, check_dimension
-from .resolve import _sign_vectors, is_resolving
+from .core import Landmarks, check_dimension, hamming_distance
+from .resolve import _sign_vectors
 
 # Default cost guard; --force overrides it up to FORCED_CAP.  `dimension
 # --n 8` takes 0.15-0.28 s of process wall time at 31.6 MiB peak RSS, of
@@ -447,7 +447,8 @@ def min_resolving_size(
     scan; each size from there on is decided by _extends(n, k, (0,)).  The
     example is the lexicographically first hit, found by _first_hit: greedy
     prefix extension through column scans, finished by one plain-scan
-    block.  subsets_examined is the example's 1-based position in the plain
+    block, and checked with plain distances before it is returned.
+    subsets_examined is the example's 1-based position in the plain
     enumeration of every phi-containing set by size, then
     lexicographically, so an excluded size counts in full.  When max_k
     is exhausted without a hit the report falls back to the best known
@@ -472,7 +473,9 @@ def min_resolving_size(
     for k in range(1, max_k + 1):
         if k >= low and _extends(n, k, (0,)):
             example, exhaustive = Landmarks(n, _first_hit(n, k)), True
-            assert is_resolving(example).resolving
+            # a plain-distance self-check that python -O keeps: the 2^n distance vectors are distinct
+            if len({tuple(hamming_distance(v, s) for s in example.members) for v in range(1 << n)}) < 1 << n:
+                raise AssertionError(f"the search's example does not resolve Q^{n}: {example.members}")
             examined += _lex_rank(example.members[1:], pool) + 1
             break
         # no hit at size k, scanned or excluded: the whole stratum counts as examined

@@ -13,13 +13,17 @@ settings.load_profile("default")
 
 @pytest.fixture
 def verdicts(monkeypatch):
-    """One entry per verdict mdim.resolve runs during the test: "rank" for the rank path, "mitm" for a set of sorted
-    keys, "rank-members" for the rank path's check of every member of a resolving set at once."""
-    rank, keys, members = mdim.resolve._rank_witness, mdim.resolve._verdict_keys, mdim.resolve._rank_needed
+    """One entry per verdict mdim.resolve runs during the test: "rank" for the rank path on a set alone, "mitm" for a
+    set of sorted keys, "rank-members" for the rank path's one pass over a set and all of its members."""
+    rank, keys = mdim.resolve._rank_kernel, mdim.resolve._verdict_keys
     seen = []
-    monkeypatch.setattr(mdim.resolve, "_rank_witness", lambda *args: seen.append("rank") or rank(*args))
+
+    def spy(signs, rows, pivots, transform=None):
+        seen.append("rank" if transform is None else "rank-members")
+        return rank(signs, rows, pivots, transform)
+
+    monkeypatch.setattr(mdim.resolve, "_rank_kernel", spy)
     monkeypatch.setattr(mdim.resolve, "_verdict_keys", lambda *args: seen.append("mitm") or keys(*args))
-    monkeypatch.setattr(mdim.resolve, "_rank_needed", lambda *args: seen.append("rank-members") or members(*args))
     return seen
 
 

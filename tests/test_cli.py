@@ -97,11 +97,11 @@ def test_minimal_of_padded_set(capsys):
 
 
 def test_minimal_runs_the_verdict_of_the_set_once(capsys, verdicts):
-    # one elimination: the verdict of S by the rank path, then every member at once
+    # one elimination and one rank-path pass settle S and every member at once
     S = basis_minimal_set(20)
     code, record = run_record(capsys, "minimal", "--n", "20", "--set", ",".join(format_vertex(v, 20) for v in S))
     assert (code, record["result"]["minimal"], record["result"]["removable"]) == (0, True, [])
-    assert verdicts == ["rank", "rank-members"]
+    assert verdicts == ["rank-members"]
 
 
 def test_minimal_rejects_non_resolving_with_exit_one(capsys):

@@ -151,7 +151,7 @@ def test_resolves_matches_bruteforce():
 
 def rank_path(signs):
     """The rank path's witness, whatever its cost against meet in the middle."""
-    return mdim.resolve._rank_witness(signs, *mdim.resolve._echelon(signs))
+    return mdim.resolve._rank_kernel(signs, *mdim.resolve._echelon(signs))[0]
 
 
 def test_rank_and_mitm_paths_match_bruteforce():
@@ -201,7 +201,7 @@ def test_rank_path_confirms_its_lifts_exactly_at_small_primes(prime, monkeypatch
 
 def rank_needed(signs):
     """The rank path's needed members, whatever its cost against the group verdicts."""
-    return mdim.resolve._rank_needed(signs, *mdim.resolve._echelon_with_transform(signs))
+    return mdim.resolve._rank_kernel(signs, *mdim.resolve._echelon_with_transform(signs))[1]
 
 
 def test_rank_and_group_minimality_match_bruteforce():
@@ -229,7 +229,7 @@ def test_rank_and_group_minimality_match_bruteforce():
         assert mdim.resolve._echelon(transform.T)[1].size == len(members), (n, members)
         removable = naive_removable(n, members)
         expected = [s not in removable for s in members]
-        assert mdim.resolve._rank_needed(signs, rows, pivots, transform).tolist() == expected, (n, members)
+        assert mdim.resolve._rank_kernel(signs, rows, pivots, transform)[1].tolist() == expected, (n, members)
         assert mdim.resolve._group_needed(signs).tolist() == expected, (n, members)
         dependent += pivots.size < len(members)
         checked += 1
@@ -242,6 +242,30 @@ def test_rank_and_group_minimality_match_bruteforce():
         if mdim.resolve._witness(signs) is None:
             assert np.array_equal(rank_needed(signs), mdim.resolve._group_needed(signs)), S
             checked += 1
+
+
+def test_rank_minimality_settles_the_set_before_its_members_stop_the_pass(monkeypatch, verdicts):
+    # {phi, e_1, e_2} at n = 6 fails with witness (4, 8), yet its members' candidates mark all
+    # three needed: a pass that stopped once every member was marked, before S's own candidates
+    # were done, would call it resolving, and one that stopped at S's first kernel vector would
+    # miss the least.  Forced onto the rank path, with blocks of one candidate, _minimality must
+    # give exactly is_resolving's witness, here and on seeded failing sets of at most n members.
+    monkeypatch.setattr(mdim.resolve, "_minimality_rank_pays", lambda n, k, d: True)
+    monkeypatch.setattr(mdim.resolve, "_PAIR_BLOCK", 8)
+    rng = Random(3030)
+    cases = [(6, (0, 1, 2))]
+    while len(cases) < 80:
+        n = rng.randint(2, 12)
+        members = random_landmarks(rng, n, rng.randint(1, n)).members
+        if not naive_is_resolving(n, members)[0]:
+            cases.append((n, members))
+    for n, members in cases:
+        expected = naive_is_resolving(n, members)[1]
+        verdicts.clear()
+        assert mdim.resolve._minimality(Landmarks(n, members)) == (expected, None), (n, members)
+        assert verdicts == ["rank-members"], (n, members)
+        assert is_resolving(Landmarks(n, members)).witness == expected, (n, members)
+    assert cases[0][1:] == ((0, 1, 2),) and naive_is_resolving(6, (0, 1, 2))[1] == (4, 8)
 
 
 def test_paper_sets_are_minimal_up_to_the_cap():
@@ -289,7 +313,7 @@ def test_paper_kernel_lines():
             signs = mdim.resolve._signs(n, S.members)
             rows, pivots = mdim.resolve._echelon(signs)
             assert pivots.size == n - 1 and not (x @ signs).any(), (n, S)
-            assert mdim.resolve._rank_witness(signs, rows, pivots) is None
+            assert mdim.resolve._rank_kernel(signs, rows, pivots) == (None, None)
             assert is_resolving(S).resolving
     # at n = 4 the line is a sign vector, and gives the witness (pos x, neg x) up to sign
     for members, witness in (((2, 4, 8), (1, 14)), ((14, 13, 11), (7, 8))):
@@ -832,11 +856,11 @@ def test_is_minimal_splits_groups_whose_pairs_outnumber_the_keys(monkeypatch, ve
 
 
 def test_is_minimal_runs_one_elimination(verdicts):
-    # one elimination decides S by the rank path and then all of its members at once; the
-    # group check would sort one set of keys per half of the members, and k + 1 verdicts
+    # one elimination and one pass over the lifted candidates decide S and all of its members;
+    # the group check would sort one set of keys per half of the members, and k + 1 verdicts
     # without it
     assert is_minimal(basis_minimal_set(20)) == (True, [])
-    assert verdicts == ["rank", "rank-members"]
+    assert verdicts == ["rank-members"]
 
 
 @pytest.mark.parametrize(

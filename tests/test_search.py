@@ -1,10 +1,15 @@
+import ast
 import copy
 import dataclasses
 import hashlib
 import itertools
+import os
 import pickle
+import subprocess
+import sys
 import tracemalloc
 from math import comb, prod
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -424,6 +429,34 @@ def test_column_choices_are_distinct_within_each_cell(monkeypatch):
         monkeypatch.undo()
 
 
+def test_column_steps_leave_every_parent_a_child(monkeypatch):
+    # the room rule: a single column v of a cell of m, taken at its q-th step, leaves room for
+    # the m - q - 1 columns to come, so every parent gets at least one child at the next step.
+    # _grow_columns is spied on at each step: a parent whose start is at or past the step's
+    # stop would get none.  The last step's leaves are not built.  At every n <= 7, phi with
+    # r <= 5 rows to come and phi and each one more member with r <= 4: cells of 2 or more
+    # columns over the 32 of r = 5, and of 3 or more over the 16 of r = 4, take single-column
+    # steps before their last ones (r = 5 after two members would build 2 billion parents).
+    grow = mdim.search._grow_columns
+    seen = {"parents": 0, "childless": 0, "steps": 0}
+
+    def spy(steps, rows, start, leaves):
+        seen["parents"] += start.size
+        seen["childless"] += int((start >= steps[0][1]).sum())
+        seen["steps"] = max(seen["steps"], len(steps))
+        if len(steps) > 1:
+            yield from grow(steps, rows, start, leaves)
+
+    monkeypatch.setattr(mdim.search, "_grow_columns", spy)
+    for n in range(1, 8):
+        for prefix, top in [((0,), 5)] + [((0, v), 4) for v in range(1, 1 << n)]:
+            for r in range(1, top + 1):
+                for _ in mdim.search._column_rows(n, len(prefix) + r, prefix):
+                    pass
+    assert seen["childless"] == 0, seen
+    assert seen["steps"] >= 6 and seen["parents"] > 5_000_000, seen
+
+
 def test_increasing_lists_every_tuple_in_order():
     # the bit planes spell itertools' combinations in their lexicographic order,
     # and first[v] is the first tuple whose first entry is >= v (the tuple count
@@ -656,3 +689,37 @@ def test_pinned_search_records():
     assert report.example.members == (0, 3, 5, 24, 41, 78)
     assert report.subsets_examined == 514_009_519
     assert naive_is_resolving(8, report.example.members) == (True, None)
+
+
+def test_min_size_checks_its_example_under_python_o():
+    # the example's self-check is a plain-distance comparison that raises, not an assert
+    # statement, so python -O keeps it: {phi, e_1, ..., e_4} does not tell e_5 from e_6
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys, mdim.search as search\n"
+        "print(sys.flags.optimize)\n"
+        "search._first_hit = lambda n, k: (0, 1, 2, 4, 8)\n"
+        "try:\n"
+        "    search.min_resolving_size(6)\n"
+        "except AssertionError as error:\n"
+        "    print(error)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.stdout == "1\nthe search's example does not resolve Q^6: (0, 1, 2, 4, 8)\n", result
+
+
+def test_search_takes_only_the_sign_vector_decoder_from_the_verifier():
+    # the search decides candidates with its own kernel; from mdim.resolve it takes only the
+    # decoder that builds its table, and it checks its example with plain distances
+    with open(mdim.search.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    taken = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(alias.name.split(".")[-1] == "resolve" for alias in node.names), ast.dump(node)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "resolve":
+            taken.update(alias.name for alias in node.names)
+    assert taken == {"_sign_vectors"}, taken
