@@ -2,10 +2,10 @@
 
 Vertices of Q^n are plain ints used as bit sets (bit i-1 <-> element i of
 {1,...,n}).  The package verifies resolving sets from the kernel of
-their sign matrix: by the rank path, one elimination over F_p, for sets
-of at most n members where it costs less, and by meet in the middle
-otherwise (a failing set's witness comes from the same kernel vectors).
-It decides minimality the same way, generates the named constructions,
+their sign matrix: by the rank path, one elimination over F_p, where it
+costs less, and by meet in the middle otherwise (a failing set's witness
+comes from the same kernel vectors).  It decides minimality by one such
+elimination for the set and all its members, or one verdict per member, generates the named constructions,
 searches exhaustively for minimum sets over column sets (translation and
 coordinate-permutation symmetry reduced), and cross-checks everything
 against a BFS oracle on explicit graphs.

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 # The figures that bound the cap are meet in the middle's (MITM's), the
-# verifier of sets of more than n members and of sets whose kernel the
-# rank path prices above it.  MITM sorts 3^h + (3^(n-h) + 1)/2 keys of sign
+# verifier of sets whose kernel or size the rank path prices above it.  MITM sorts 3^h + (3^(n-h) + 1)/2 keys of sign
 # vectors, h = n // 2, in a buffer each thread keeps for its largest
 # verdict: 3.4 MiB at n = 23 and 54.7 MiB at n = 28.  Its ru_maxrss rise on
 # one thread (2 vCPU Xeon) measured 7, 19 and 56 MiB at n = 24, 26 and 28,
@@ -30,9 +29,9 @@ from typing import Iterator
 # in about 1 ms at 29.1-29.6 MiB peak RSS in a fresh process, within 1 MiB
 # of the process before the call.  is_minimal of basis_minimal_set(28) or
 # reduced_erdos_renyi_set(28) takes one elimination of the same kind, in
-# 1.1-2.1 ms at 1.0 MiB above the process before the call; its MITM group
-# verdicts took 0.42-0.52 s at 105 MiB.  is_minimal of a set that the rank
-# path does not take still runs one MITM verdict per half of its members.
+# 1.1-2.1 ms at 1.0 MiB above the process before the call.  is_minimal of
+# a set that the rule prices out of that elimination runs one verdict of
+# S and one of each S - j, each by the rank path or by MITM.
 # Vertices also stay inside a uint32.
 DIMENSION_CAP = 28
 

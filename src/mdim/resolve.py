@@ -7,10 +7,10 @@ some pair (u = the ones of x, v = its minus ones).  So S resolves exactly
 when no nonzero x in {-1,0,1}^n has b_s . x = 0 for every s in S (the
 detecting-matrix view of Lindstrom and of Sebo-Tannier).
 
-Write B for the k x n matrix of the b_s.  The rank path decides a set of
-k <= n members from B's kernel.  _echelon reduces B over F_p,
-p = 2^31 - 1, to its rank r, its pivot columns and its d = n - r free
-columns; d = 0 resolves at once.  Otherwise _rank_kernel enumerates the
+Write B for the k x n matrix of the b_s.  The rank path decides a set
+from B's kernel.  _echelon reduces B over F_p, p = 2^31 - 1, to its rank
+r, its pivot columns and its d = n - r free columns; d = 0 resolves at
+once.  Otherwise _rank_kernel enumerates the
 (3^d - 1)/2 free sign vectors whose highest nonzero entry is +1, keeps
 those whose pivot entries come out as the residues 0, 1 or p - 1, lifts
 them to sign vectors x and confirms B x = 0 exactly in integers.  That is
@@ -25,12 +25,13 @@ which holds no sign vector from n = 5 on.
 The rank path runs when it costs fewer keys than meet in the middle
 sorts (_rank_pays): k pivot steps at _PIVOT_KEYS keys each, plus one key
 per residue of its candidates, against 3^h + (3^m + 1)/2 keys for halves
-of h = n // 2 and m = n - h coordinates.  d >= n - k prices it before the
-elimination, the rank after it.  Every set on at most 15 coordinates,
-where the pivot steps cost more than the whole sort, stays on meet in the
-middle; from n = 16 on, the rank path takes the sets of about n/2 + 2 to
-n members whose rank is close to k.  Sets of more than n members always
-go to meet in the middle.
+of h = n // 2 and m = n - h coordinates.  d >= max(n - k, 0) prices it
+before the elimination, the rank after it.  Every set on at most 15
+coordinates, where the pivot steps cost more than the whole sort, stays
+on meet in the middle; from n = 16 on, the rank path takes the sets of
+about n/2 + 2 members or more whose rank is close to k, while their
+pivot steps alone stay within the keys: up to 19 members at n = 16 and
+172 at n = 20.
 
 Meet in the middle (MITM, Horowitz-Sahni) decides the rest: with
 fixed odd weights w_j, coordinate i gets the 64-bit coefficient
@@ -66,37 +67,31 @@ exact rows B y and -B z, the ranks (pos x, neg x) and plain sign vectors.
 Minimality asks, for each member j of a resolving S, whether S - j still
 resolves: j is needed (S - j fails) exactly when some nonzero x has B x
 nonzero at j alone, since such an x is a kernel vector of S - j, and
-every kernel vector of S - j is one (it is no kernel vector of S).  A set
-of at most n members that _minimality_rank_pays prices below the verdicts
-it replaces takes one elimination and one pass: _echelon_with_transform
-reduces B and carries the k x k transform E with E B = [rows; 0] over
-F_p.  B x = lambda e_j gives E B x = lambda E e_j, so column j of E turns
-S's echelon form into that of S - j: the same free columns when b_j
-depends on the other rows mod p, otherwise one more, with every other
-pivot kept.  _rank_kernel takes S as a member whose column of E is
-cleared, enumerates the (3^d - 1)/2 candidates of S and the
-(3^(d+1) - 1)/2 of every member in one array, S's first, and lifts each
-by the rank path's rule.  A lifted x, with B x computed exactly in
-integers, is a kernel vector of S when B x = 0 and x != 0, and marks a
-member needed when B x is nonzero at it alone.  So S's witness and every
-member's verdict come from the same lifted rows; the pass may stop early
-only once S's own candidates are done.  The paper's sets, with d = 1,
-take 1 candidate for S and 4 per member.  The rule admits sets from
-n = 14 on, those of about 2n/3 + 1 to n members whose rank is close to
-k; on at most 13 coordinates the pivot steps are priced above the keys
-of the three verdicts, though the elimination measures faster from
-n = 6 on.
+every kernel vector of S - j is one (it is no kernel vector of S).
+_echelon_with_transform reduces B once and carries the transform E with
+E B = [rows; 0] over F_p.  B x = lambda e_j gives E B x = lambda E e_j, so
+column j of E turns S's echelon form into that of S - j: the same free
+columns when b_j depends on the other rows mod p, otherwise one more,
+with every other pivot kept.  Only pivot rows are added to others, so the
+elimination carries E's columns of the pivot rows, min(n, k) of them, not
+all k.  _rank_kernel takes S as a member whose column of E is cleared,
+enumerates the (3^d - 1)/2 candidates of S and the (3^(d+1) - 1)/2 of
+every member in one array, S's first, and lifts each by the rank path's
+rule.  A lifted x, with B x computed exactly in integers, is a kernel
+vector of S when B x = 0 and x != 0, and marks a member needed when B x
+is nonzero at it alone.  So S's witness and every member's verdict come
+from the same lifted rows; the pass may stop early only once S's own
+candidates are done.  The paper's sets, with d = 1, take 1 candidate for
+S and 4 per member.
 
-The other sets go member group by member group.  Write B_G for the rows
-of B of a group G.  j in G is needed exactly when some nonzero x with
-B_{S-G} x = 0 has B_G x nonzero at j alone, so one verdict of S - G
-decides every member of G, from the left-right key pairs of its matched
-runs: those are its kernel vectors up to sign, and B_G x and B_G (-x)
-have one support.  Each pair is confirmed exactly against B before it
-counts.  This route runs the verdict of S and one per half of its
-members, splitting a half again only when its pairs, counted from the
-run sizes before any is formed, outnumber that verdict's keys.  A group
-of one member j goes through is_resolving's own witness routine on S - j.
+That pass runs when its residues cost fewer keys than the k + 1 verdicts
+it replaces, that of S and one of each S - j (_members_pay); its pivot
+steps are paid once, against those verdicts' fixed costs, and go
+unpriced.  d >= max(n - k, 0) prices it before the elimination, the rank
+after it.  It takes every set whose rank is close to its size: on 22
+coordinates, every set with d <= 8.  A set it prices out takes _witness
+for S and then for each S - j; the empty set never resolves, so a lone
+member is needed without a verdict.
 
 The keys go into a buffer that each thread keeps between verdicts (numpy
 releases the interpreter lock while it sorts, so threads cannot share
@@ -107,8 +102,7 @@ and a warm verdict takes no page faults.  On a 2 vCPU Xeon, in a fresh
 process, is_resolving(basis_minimal_set(28)) takes the rank path in about
 1.1 ms at 29.4 MiB peak RSS (0.15-0.19 s at 84.6 MiB by MITM), and
 is_minimal of it, or of reduced_erdos_renyi_set(28), one elimination in
-1.1-2.1 ms, 1.0 MiB above the process before the call (0.42-0.52 s at
-105 MiB by the MITM verdicts of two groups).
+1.1-2.1 ms, 1.0 MiB above the process before the call.
 """
 
 from __future__ import annotations
@@ -310,7 +304,7 @@ def _signs(n: int, members) -> np.ndarray:
     return 1 - 2 * bits.T.astype(np.int8)
 
 
-# Words per block of the neighbour scan and of the group check's pairs:
+# Words per block of the neighbour scan and of the rank path's residues:
 # 64 KiB of uint64, below glibc's 128 KiB mmap threshold, so a block's
 # scratch reuses heap pages rather than faulting in fresh ones.  The keys
 # are kept, so no large free raises that threshold.
@@ -338,13 +332,12 @@ def _marked(keys: np.ndarray, b: int) -> np.ndarray:
     return np.concatenate(marked)  # x = 0 always meets, at hash 0
 
 
-def _matched_runs(signs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
-    """The sign-vector indices of one verdict's candidates, by runs of hashes holding a left and a right key.
+def _matched_runs(signs: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The sign-vector indices of one verdict's candidates, from the runs of hashes holding a left and a right key.
 
-    Returns (left, right, lefts, rights), or None when the members resolve:
-    run r holds the next lefts[r] indices y of ``left`` and the next
-    rights[r] indices z of ``right``, each increasing, and every (y, z) of
-    one run is a candidate.
+    Returns (left, right), or None when the members resolve: the indices
+    y and z of the left and the right keys in those runs, in key order, so
+    z = 0 comes first in ``right``.  Every (y, z) of one run is a candidate.
 
     Each key carries the index of its sign vector in its low b
     bits, below the coefficients, and a right key carries the bit side
@@ -381,7 +374,7 @@ def _matched_runs(signs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     index = keys[index].view(np.int64)
     index &= 2 * side - 1
     is_right = index >= side
-    return index[~is_right], index[is_right] - side, marked + 1 - lo, hi - marked - 1
+    return index[~is_right], index[is_right] - side
 
 
 # The rank path's field: a prime above 3 (so a residue lifts to -1, 0 or 1 in at most one way)
@@ -416,16 +409,27 @@ def _reduce(rows: np.ndarray, n: int) -> tuple[list[int], np.ndarray]:
     cleared from it, pivots on the largest residue a = q_c of its first n
     columns, and every other row r becomes a r - r_c q, across all its
     columns.  A row whose first n columns clear to zero depends on those
-    before it.
+    before it; once n rows pivot, every later one does.
+
+    Columns past the first n, zero on entry, record the transform: as row
+    i becomes the s-th to pivot, its column n + s takes the product of the
+    earlier pivots' residues a.  Column i of an identity appended to the
+    rows would hold just that then, and the same steps keep the two equal.
     """
     p = _PRIME
     update = np.empty_like(rows)
     kept, pivots = [], []
+    scale = 1
     for i, row in enumerate(rows):
+        if len(kept) == n:
+            break
         c = row[:n].argmax()
         a = int(row[c])
         if not a:
             continue
+        if len(row) > n:
+            row[n + len(kept)] = scale
+            scale = scale * a % p
         np.multiply(rows[:, c, None], row, out=update)
         update[i] = 0
         rows *= a  # a r - r_c q stays inside an int64: both terms are below p^2 < 2^62
@@ -450,20 +454,29 @@ def _echelon(signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _echelon_with_transform(signs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_echelon's (rows, pivots), and the k x k transform E with E B = [rows; 0] over F_p.
+    """_echelon's (rows, pivots), and what _rank_kernel reads of a k x k transform E with E B = [rows; 0] over F_p.
 
-    B is reduced with I_k appended to its rows, so the appended part of
-    each row is the combination of members it has become: E's first rows
-    belong to the pivot rows, in order, its last ones to the rows that
-    cleared.  Every step of _reduce is invertible, and so is E.
+    That is E's r pivot rows, in order, then one row that is nonzero in
+    exactly the columns where some other row of E is.  Reducing B with I_k
+    appended would make E of the appended part: each row becomes a
+    combination of members, and every step of _reduce is invertible, so E
+    is too.  Only pivot rows are added to others, so E is zero outside the
+    pivot rows' columns but on its diagonal, which is nonzero; _reduce
+    carries those min(n, k) columns alone, not all k.
     """
     n, k = signs.shape
-    rows = np.concatenate([signs.T, np.eye(k, dtype=np.int8)], axis=1).astype(np.int64)
+    rows = np.zeros((k, n + min(n, k)), dtype=np.int64)
+    rows[:, :n] = signs.T
     rows %= _PRIME
     kept, pivots = _reduce(rows, n)
+    r = len(kept)
     cleared = np.ones(k, dtype=bool)
     cleared[kept] = False
-    return rows[kept, :n], pivots, rows[kept + np.flatnonzero(cleared).tolist(), n:]
+    transform = np.zeros((r + 1, k), dtype=np.int64)
+    transform[:r, kept] = rows[kept, n:n + r]
+    transform[r] = cleared
+    transform[r, kept] = rows[cleared, n:n + r].any(axis=0)
+    return rows[kept, :n], pivots, transform
 
 
 def _rank_kernel(
@@ -471,8 +484,8 @@ def _rank_kernel(
 ) -> tuple[tuple[int, int] | None, np.ndarray | None]:
     """(witness, needed) from the _echelon (rows, pivots) of the n x k matrix of _signs, by enumerating free entries.
 
-    witness is S's _witness.  needed, given the transform E of
-    _echelon_with_transform, masks the members j for which S - j fails,
+    witness is S's _witness.  needed, given what _echelon_with_transform
+    returns of the transform E, masks the members j for which S - j fails,
     read only when S resolves; it is None without E.
 
     A candidate of S assigns the d free entries a sign vector whose highest
@@ -552,7 +565,7 @@ def _rank_kernel(
             star_sums %= p
             residues = alpha[:, None] * sums[c, None, :]  # (candidates, 1 + k, rank)
             residues -= beta * star_sums[:, :, None]
-            residues %= p
+            residues -= residues // p * p  # mod p: numpy divides by a scalar several times faster than it takes remainders
             residues[max(settled - start, 0):, cleared] = p  # p is no residue: these lift nothing
         plus, minus = residues == p - scales, residues == scales
         lifts = (plus | minus | (residues == 0)).all(axis=-1)
@@ -570,7 +583,7 @@ def _rank_kernel(
                     pos, neg = (kernel == 1) @ weights, (kernel == -1) @ weights
                     best = min(best, int((np.minimum(pos, neg) << n | np.maximum(pos, neg)).min()))
             if needed is not None:
-                needed |= _needed(products.T, np.ones(k, dtype=bool))
+                needed |= _needed(products.T)
         if needed is not None and start + block >= settled and (best < unset or needed.all()):
             break
     return None if best == unset else divmod(best, 1 << n), needed
@@ -581,19 +594,19 @@ def _mitm_witness(signs: np.ndarray) -> tuple[int, int] | None:
     runs = _matched_runs(signs)
     if runs is None:
         return None
-    rank = _kernel_witness(signs, *runs[:2])
+    rank = _kernel_witness(signs, *runs)
     return None if rank is None else divmod(rank, 1 << len(signs))
 
 
 def _witness(signs: np.ndarray) -> tuple[int, int] | None:
     """The smallest colliding pair (u, v), u < v, or None when the members of the n x k matrix of _signs resolve Q^n.
 
-    The rank path decides sets of at most n members whose _echelon makes
-    it cost fewer keys than MITM's (_rank_pays); d >= n - k decides that
-    before the elimination, the rank after it.
+    The rank path decides sets whose _echelon makes it cost fewer keys
+    than MITM's (_rank_pays); d >= max(n - k, 0) decides that before the
+    elimination, the rank after it.
     """
     n, k = signs.shape
-    if k <= n and _rank_pays(n, k, n - k):
+    if _rank_pays(n, k, max(n - k, 0)):
         rows, pivots = _echelon(signs)
         if _rank_pays(n, k, n - pivots.size):
             return _rank_kernel(signs, rows, pivots)[0]
@@ -611,10 +624,10 @@ def is_resolving(S: Landmarks, *, threads: int = 1) -> VerificationReport:
 
     The verdict and the witness come from the sign vectors of the module
     docstring, not from the 2^n distance vectors: one verdict, by the rank
-    path for a set of at most n members that it prices below meet in the
-    middle, by meet in the middle otherwise.  ``vertices_checked`` is 2^n
-    by definition, the vertices the verdict covers.  ``threads`` is
-    ignored; it stays because the benchmark's workloads still pass it.
+    path for a set that it prices below meet in the middle, by meet in the
+    middle otherwise.  ``vertices_checked`` is 2^n by definition, the
+    vertices the verdict covers.  ``threads`` is ignored; it stays because
+    the benchmark's workloads still pass it.
     """
     _check(S)
     t0 = time.perf_counter()
@@ -627,77 +640,32 @@ def is_resolving(S: Landmarks, *, threads: int = 1) -> VerificationReport:
     )
 
 
-def _pairs(lefts: np.ndarray, rights: np.ndarray, block: int):
-    """Every (left, right) position pair within one run of _matched_runs, in blocks of that many pairs."""
-    ends = np.cumsum(lefts * rights)
-    total = int(ends[-1])
-    left_starts, right_starts = np.cumsum(lefts) - lefts, np.cumsum(rights) - rights
-    for start in range(0, total, block):
-        p = np.arange(start, min(start + block, total))
-        r = np.searchsorted(ends, p, side="right")
-        q = p - ends[r] + lefts[r] * rights[r]
-        yield left_starts[r] + q // rights[r], right_starts[r] + q % rights[r]
+def _needed(columns: np.ndarray) -> np.ndarray:
+    """The members j for which some column's only nonzero entry is entry j.
 
-
-def _needed(columns: np.ndarray, group: np.ndarray) -> np.ndarray:
-    """The members j of the group (a mask) for which some column's only nonzero entry is entry j.
-
-    Column i is B x for a candidate x of the verdict of the members
-    outside the group; one with a nonzero entry outside the group is no
-    kernel vector of theirs, and counts for nothing.
+    Column i is B x for a lifted candidate x; j is needed when B x is
+    nonzero at j alone, since x is then a kernel vector of S - j.
     """
     nonzero = columns != 0
-    single = nonzero[:, nonzero.sum(axis=0) == 1]
-    return single.any(axis=1) & group
+    return nonzero[:, nonzero.sum(axis=0) == 1].any(axis=1)
 
 
-def _needed_in(signs: np.ndarray, rows: tuple, members: np.ndarray) -> np.ndarray:
-    """Which of the members at these indices are needed, as a mask over all k members.
+def _members_pay(n: int, k: int, d: int) -> bool:
+    """Whether one pass over S and its members lifts fewer residues than the keys of the k + 1 verdicts it replaces.
 
-    One member j is needed when _witness finds S - j fails; a larger group
-    G takes one verdict of S - G, or one per half of G when that verdict's
-    pairs outnumber its keys.  ``rows`` holds the _row_tables of ``signs``.
+    Its k pivot steps are paid once, against the fixed costs of those
+    k + 1 verdicts, so they are left unpriced.
     """
-    group = np.zeros(signs.shape[1], dtype=bool)
-    group[members] = True
-    if members.size == 1:
-        return group & (_witness(signs[:, ~group]) is not None)
-    runs = _matched_runs(signs[:, ~group])
-    if runs is None:
-        return np.zeros_like(group)  # S - G resolves: every member of G can go
-    left, right, lefts, rights = runs
-    n = len(signs)
-    if int((lefts * rights).sum()) > _key_count(n // 2, n - n // 2):
-        return np.logical_or.reduce([_needed_in(signs, rows, half) for half in np.array_split(members, 2)])
-    needed = np.zeros_like(group)
-    # at most _PAIR_BLOCK pairs, whose (pairs, k) int8 rows also fit in _PAIR_BLOCK words
-    block = max(_PAIR_BLOCK * 8 // max(len(group), 8), 1)
-    for y, z in _pairs(lefts, rights, block):
-        columns = _lookup(left[y], rows[0])
-        columns -= _lookup(right[z], rows[1])
-        needed |= _needed(columns.T, group)
-        if needed[group].all():
-            break
-    return needed
+    return _rank_cost(n, 0, d, k) <= (k + 1) * _key_count(n // 2, n - n // 2)
 
 
-def _group_needed(signs: np.ndarray) -> np.ndarray:
-    """Which members of a resolving set are needed, as a mask, by _needed_in's group verdicts, from two halves of them."""
+def _verdicts_needed(signs: np.ndarray) -> np.ndarray:
+    """Which members of a resolving set are needed, as a mask: one _witness of S - j per member j.
+
+    The empty set never resolves (n >= 1), so a lone member is needed without a verdict.
+    """
     k = signs.shape[1]
-    if k == 1:
-        return np.ones(1, dtype=bool)  # the empty set never resolves (n >= 1)
-    rows = _row_tables(signs)
-    return np.logical_or.reduce([_needed_in(signs, rows, half) for half in np.array_split(np.arange(k), 2)])
-
-
-def _minimality_rank_pays(n: int, k: int, d: int) -> bool:
-    """Whether one elimination that carries its transform costs fewer keys than the verdicts it replaces.
-
-    It replaces the verdict of S, priced as _witness would run it, and two
-    MITM group verdicts.
-    """
-    keys = _key_count(n // 2, n - n // 2)
-    return _rank_cost(n, k, d, k) <= min(_rank_cost(n, k, d), keys) + 2 * keys
+    return np.array([k == 1 or _witness(np.delete(signs, j, axis=1)) is not None for j in range(k)])
 
 
 def _removable(members: tuple[Vertex, ...], needed: np.ndarray) -> list[Vertex]:
@@ -707,21 +675,22 @@ def _removable(members: tuple[Vertex, ...], needed: np.ndarray) -> list[Vertex]:
 def _minimality(S: Landmarks) -> tuple[tuple[int, int] | None, list[Vertex] | None]:
     """(witness, removable): S's _witness, and when S resolves, its members that can go, in member order.
 
-    A set of at most n members that _minimality_rank_pays prices below the
-    MITM verdicts is decided by one _echelon_with_transform and one pass of
-    _rank_kernel over S and every member.  Otherwise S takes _witness and
-    its members _group_needed.
+    A set that _members_pay prices below the verdicts it replaces is
+    decided by one _echelon_with_transform and one pass of _rank_kernel
+    over S and every member; d >= max(n - k, 0) decides that before the
+    elimination, the rank after it.  Otherwise S takes _witness and its
+    members _verdicts_needed.
     """
     _check(S)
     signs = _signs(S.n, S.members)
     n, k = signs.shape
-    if k <= n and _minimality_rank_pays(n, k, n - k):
+    if _members_pay(n, k, max(n - k, 0)):
         rows, pivots, transform = _echelon_with_transform(signs)
-        if _minimality_rank_pays(n, k, n - pivots.size):
+        if _members_pay(n, k, n - pivots.size):
             witness, needed = _rank_kernel(signs, rows, pivots, transform)
             return witness, None if witness else _removable(S.members, needed)
     witness = _witness(signs)
-    return witness, None if witness else _removable(S.members, _group_needed(signs))
+    return witness, None if witness else _removable(S.members, _verdicts_needed(signs))
 
 
 def is_minimal(S: Landmarks, *, threads: int = 1) -> tuple[bool, list[Vertex]]:

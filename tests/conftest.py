@@ -29,7 +29,7 @@ def verdicts(monkeypatch):
 
 @pytest.fixture
 def mitm_only(monkeypatch):
-    """Decide every verdict of a whole set or of S - j by meet in the middle, and is_minimal's members by the
-    verdicts of their groups, whatever the rank path would cost."""
+    """Decide every verdict of a whole set or of S - j by meet in the middle, and is_minimal's members by one
+    such verdict each, whatever the rank path would cost."""
     monkeypatch.setattr(mdim.resolve, "_witness", mdim.resolve._mitm_witness)
-    monkeypatch.setattr(mdim.resolve, "_minimality_rank_pays", lambda n, k, d: False)
+    monkeypatch.setattr(mdim.resolve, "_members_pay", lambda n, k, d: False)

@@ -200,19 +200,20 @@ def test_rank_path_confirms_its_lifts_exactly_at_small_primes(prime, monkeypatch
 
 
 def rank_needed(signs):
-    """The rank path's needed members, whatever its cost against the group verdicts."""
+    """The rank path's needed members, whatever its cost against the per-member verdicts."""
     return mdim.resolve._rank_kernel(signs, *mdim.resolve._echelon_with_transform(signs))[1]
 
 
-def test_rank_and_group_minimality_match_bruteforce():
-    # both paths called directly on seeded resolving sets; a third of the sets at n <= 12 hold a
-    # member and its complement, whose rows b and -b make B's rows linearly dependent.  Every
-    # fourth set may reach n = 12, where the brute force costs most.
+def test_rank_and_member_minimality_match_bruteforce():
+    # the one pass and the per-member verdicts called directly on seeded resolving sets of up to
+    # n + 3 members; a third of the sets at n <= 12 hold a member and its complement, whose rows
+    # b and -b make B's rows linearly dependent.  Every fourth set may reach n = 12, where the
+    # brute force costs most.
     rng = Random(2828)
-    checked = dependent = 0
+    checked = dependent = wide = 0
     while checked < 300:
         n = rng.randint(2, 12 if checked % 4 == 0 else 9)
-        members = random_landmarks(rng, n, rng.randint(max(n // 2, 1), n)).members
+        members = random_landmarks(rng, n, rng.randint(max(n // 2, 1), min(1 << n, n + 3))).members
         if checked % 3 == 0 and len(members) >= 2:
             members = (members[0], members[0] ^ ((1 << n) - 1)) + members[2:]
             if len(set(members)) < len(members):
@@ -222,25 +223,28 @@ def test_rank_and_group_minimality_match_bruteforce():
             continue
         assert naive_is_resolving(n, members)[0], (n, members)
         rows, pivots, transform = mdim.resolve._echelon_with_transform(signs)
-        # E B = [rows; 0] over F_p, and E has full rank there
-        reduced = np.zeros((len(members), n), dtype=np.int64)
-        reduced[:pivots.size] = rows
-        assert np.array_equal(transform @ signs.T % mdim.resolve._PRIME, reduced), (n, members)
-        assert mdim.resolve._echelon(transform.T)[1].size == len(members), (n, members)
+        # E's pivot rows take B to the reduced rows over F_p and are independent; its last row
+        # marks the members that the others span, whose removal leaves the rank as it was
+        r = pivots.size
+        assert np.array_equal(transform[:r] @ signs.T % mdim.resolve._PRIME, rows), (n, members)
+        assert mdim.resolve._echelon(transform[:r].T)[1].size == r, (n, members)
+        spanned = [mdim.resolve._echelon(np.delete(signs, j, axis=1))[1].size == r for j in range(len(members))]
+        assert (transform[r] != 0).tolist() == spanned, (n, members)
         removable = naive_removable(n, members)
         expected = [s not in removable for s in members]
         assert mdim.resolve._rank_kernel(signs, rows, pivots, transform)[1].tolist() == expected, (n, members)
-        assert mdim.resolve._group_needed(signs).tolist() == expected, (n, members)
+        assert mdim.resolve._verdicts_needed(signs).tolist() == expected, (n, members)
         dependent += pivots.size < len(members)
+        wide += len(members) > n
         checked += 1
-    assert dependent >= 80, dependent
+    assert dependent >= 80 and 100 <= wide <= 260, (dependent, wide)  # sets on both sides of k = n
     checked = 0
     while checked < 40:
         n = rng.randint(13, 24)
-        S = random_landmarks(rng, n, rng.randint(n - 5, n))
+        S = random_landmarks(rng, n, rng.randint(n - 5, n + 3))
         signs = mdim.resolve._signs(n, S.members)
         if mdim.resolve._witness(signs) is None:
-            assert np.array_equal(rank_needed(signs), mdim.resolve._group_needed(signs)), S
+            assert np.array_equal(rank_needed(signs), mdim.resolve._verdicts_needed(signs)), S
             checked += 1
 
 
@@ -250,7 +254,7 @@ def test_rank_minimality_settles_the_set_before_its_members_stop_the_pass(monkey
     # were done, would call it resolving, and one that stopped at S's first kernel vector would
     # miss the least.  Forced onto the rank path, with blocks of one candidate, _minimality must
     # give exactly is_resolving's witness, here and on seeded failing sets of at most n members.
-    monkeypatch.setattr(mdim.resolve, "_minimality_rank_pays", lambda n, k, d: True)
+    monkeypatch.setattr(mdim.resolve, "_members_pay", lambda n, k, d: True)
     monkeypatch.setattr(mdim.resolve, "_PAIR_BLOCK", 8)
     rng = Random(3030)
     cases = [(6, (0, 1, 2))]
@@ -325,8 +329,12 @@ def test_paper_kernel_lines():
 @pytest.fixture(params=[1, 0], ids=["all-one-weights", "all-zero-weights"])
 def colliding_weights(request, monkeypatch):
     # Weights that make nearly every key repeat, so the exact confirms decide every verdict.
-    # Holds (candidate pairs, witness) for every confirm reached while it is active.
     monkeypatch.setattr(mdim.resolve, "_multipliers", lambda k: np.full(k, request.param, dtype=np.uint64))
+    return spy_on_confirms(monkeypatch)
+
+
+def spy_on_confirms(monkeypatch):
+    """Hold (candidate pairs, witness) for every exact confirm of MITM reached from here on."""
     confirm = mdim.resolve._kernel_witness
     verdicts = []
 
@@ -495,7 +503,7 @@ def test_threads_keep_their_own_key_buffers(mitm_only):
     # numpy releases the interpreter lock while it sorts, so threads writing one shared key
     # buffer would corrupt each other's verdicts; three threads, each running the calls in
     # its own order, must get the serial reports.  Every call is forced onto sorted keys:
-    # each is_resolving call sorts one set, each is_minimal call those of S and its two groups.
+    # each is_resolving call sorts one set, each is_minimal call those of S and of each S - j.
     calls = []
     for n in (20, 23):
         calls += [
@@ -808,51 +816,49 @@ def test_is_minimal_results_above_the_bruteforce_range_are_pinned():
     assert digest.hexdigest() == "e34dde5a0afb4b14211eabb0ade57e523f305c0425ec1f026e57ef2d596b27a2"
 
 
-def spy_on_needed(monkeypatch):
-    """Count the candidate pairs that the group check saw, and those it rejected as no kernel vector."""
-    check = mdim.resolve._needed
-    seen = {"pairs": 0, "rejected": 0}
-
-    def spy(columns, group):
-        seen["pairs"] += columns.shape[1]
-        seen["rejected"] += int(((columns != 0) & ~group[:, None]).any(axis=0).sum())
-        return check(columns, group)
-
-    monkeypatch.setattr(mdim.resolve, "_needed", spy)
-    return seen
+@pytest.fixture(params=["rank-members", "mitm"])
+def minimality_route(request, monkeypatch, verdicts):
+    """The route is_minimal must take: its one rank-path pass, or under mitm_only one MITM verdict of S and one of
+    each S - j.  Holds (route, verdicts, confirms): the confirms are those spy_on_confirms holds."""
+    if request.param == "mitm":
+        request.getfixturevalue("mitm_only")
+    return request.param, verdicts, spy_on_confirms(monkeypatch)
 
 
-def test_is_minimal_confirms_group_pairs_exactly(monkeypatch):
-    # weights 1..k tie many keys of sign vectors that are no kernel vector, while the pairs
-    # of most groups still fit within their verdict's keys
+def check_minimal_route(minimality_route, n, members):
+    """is_minimal of the members gives brute force's answer, by the route asked for."""
+    route, verdicts, _ = minimality_route
+    verdicts.clear()
+    expected = naive_removable(n, members)
+    assert is_minimal(Landmarks(n, members)) == (not expected, expected), (n, members)
+    assert verdicts == ([route] if route == "rank-members" else [route] * (len(members) + 1)), (n, members)
+
+
+def test_is_minimal_matches_bruteforce_under_weights_one_to_k(monkeypatch, minimality_route):
+    # weights 1..k tie many keys of sign vectors that are no kernel vector, so by MITM only the
+    # exact confirms keep the members' verdicts right
     monkeypatch.setattr(mdim.resolve, "_multipliers", lambda k: np.arange(1, k + 1, dtype=np.uint64))
-    seen = spy_on_needed(monkeypatch)
     rng = Random(99)
     checked = 0
     while checked < 150:
         n = rng.randint(3, 9)
         S = random_landmarks(rng, n, rng.randint(n - 1, min(1 << n, n + 3)))
         if naive_is_resolving(n, S.members)[0]:
-            expected = naive_removable(n, S.members)
-            assert is_minimal(S) == (not expected, expected), S
+            check_minimal_route(minimality_route, n, S.members)
             checked += 1
-    assert seen["rejected"] >= 1000 and seen["pairs"] > seen["rejected"], seen
+    route, _, confirms = minimality_route
+    assert route == "rank-members" or overruled(confirms) >= 500, overruled(confirms)
 
 
-def test_is_minimal_splits_groups_whose_pairs_outnumber_the_keys(monkeypatch, verdicts):
-    # all-zero weights give every key hash 0: a group's pairs 3^h (3^m + 1)/2 outnumber its
-    # verdict's 3^h + (3^m + 1)/2 keys, so groups split down to single members
+def test_is_minimal_matches_bruteforce_under_all_zero_weights(monkeypatch, minimality_route):
+    # all-zero weights give every key hash 0, so by MITM every sign vector is a candidate
     monkeypatch.setattr(mdim.resolve, "_multipliers", lambda k: np.zeros(k, dtype=np.uint64))
-    seen = spy_on_needed(monkeypatch)
     rng = Random(4)
     for n in range(2, 9):
         for S in (random_resolving_landmarks(rng, n) for _ in range(3)):
-            verdicts.clear()
-            expected = naive_removable(n, S.members)
-            assert is_minimal(S) == (not expected, expected), S
-            # S itself, then a binary tree of groups with one leaf per member, without its root
-            assert len(verdicts) == 1 + 2 * len(S.members) - 2, S
-    assert seen["pairs"] == 0
+            check_minimal_route(minimality_route, n, S.members)
+    route, _, confirms = minimality_route
+    assert route == "rank-members" or overruled(confirms) >= 50, overruled(confirms)
 
 
 def test_is_minimal_runs_one_elimination(verdicts):
@@ -864,23 +870,57 @@ def test_is_minimal_runs_one_elimination(verdicts):
 
 
 @pytest.mark.parametrize(
-    "n, members, removable, single",
+    "n, members, removable",
     [
-        (5, (27, 13, 21, 7, 24), [7, 24], True),
-        (5, (14, 5, 2, 8, 23), [8, 23], True),
-        (7, (122, 100, 103, 84, 82, 45, 22), [82, 45], False),
-        (9, (265, 404, 211, 48, 369, 204, 390), [], False),
-        (11, (648, 1282, 1262, 171, 959, 0, 17, 543, 1599), [], False),
+        (5, (27, 13, 21, 7, 24), [7, 24]),
+        (5, (14, 5, 2, 8, 23), [8, 23]),
+        (7, (122, 100, 103, 84, 82, 45, 22), [82, 45]),
+        (9, (265, 404, 211, 48, 369, 204, 390), []),
+        (11, (648, 1282, 1262, 171, 959, 0, 17, 543, 1599), []),
     ],
 )
-def test_is_minimal_splits_groups_under_the_splitmix_weights(monkeypatch, verdicts, n, members, removable, single):
-    # sets found by sampling whose halves' pairs outnumber their keys under the real weights:
-    # S itself, two halves and two groups split from one of them make five verdicts
+def test_is_minimal_on_sets_of_many_key_pairs(minimality_route, n, members, removable):
+    # sets found by sampling whose halves of members left S - G with more key pairs than keys
+    # under the real weights
+    assert removable == naive_removable(n, members)
+    check_minimal_route(minimality_route, n, members)
+
+
+def test_minimality_routes_are_pinned(monkeypatch, verdicts):
+    # the paper set at n = 8 and a set of n + 4 members take is_minimal's one pass, and 24
+    # members at n = 20 take is_resolving's rank path alone
+    for S in (basis_minimal_set(8), random_landmarks(Random(12), 12, 16)):
+        verdicts.clear()
+        expected = naive_removable(S.n, S.members)
+        assert is_minimal(S) == (not expected, expected), S
+        assert verdicts == ["rank-members"], S
+    verdicts.clear()
+    assert is_resolving(random_landmarks(Random(20), 20, 24)).resolving
+    assert verdicts == ["rank"]
+    # no resolving set sampled is priced out of the pass; forced out, a set takes the verdict
+    # of S and then one of each S - j
+    monkeypatch.setattr(mdim.resolve, "_members_pay", lambda n, k, d: False)
     witness = mdim.resolve._witness
     widths = []
     monkeypatch.setattr(mdim.resolve, "_witness", lambda signs: widths.append(signs.shape[1]) or witness(signs))
-    assert is_minimal(Landmarks(n, members)) == (not removable, removable)
-    assert removable == naive_removable(n, members)
-    assert len(verdicts) == 5
-    # the first _witness is S itself; a later one on k - 1 members is a one-member group's
-    assert widths[0] == len(members) and (len(members) - 1 in widths[1:]) == single
+    verdicts.clear()
+    assert is_minimal(basis_minimal_set(20)) == (True, [])
+    assert widths == [19] + [18] * 19 and verdicts == ["rank"] * 20
+    # the empty set never resolves, so a lone member is needed without a verdict on no members
+    widths.clear()
+    assert is_minimal(Landmarks(1, (0,))) == (True, []) and widths == [1]
+
+
+def test_is_minimal_of_every_vertex_carries_no_k_by_k_transform(verdicts):
+    # 4,096 members at n = 12: the elimination carries E's min(n, k) pivot columns, 0.8 MiB
+    # of residues, where all k columns of E would take 128 MiB.  Every member can go, since
+    # a superset of a resolving set resolves.
+    S = Landmarks(12, tuple(range(1 << 12)))
+    tracemalloc.start()
+    try:
+        assert is_minimal(S) == (False, list(S.members))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20, peak
+    assert verdicts == ["rank-members"]
