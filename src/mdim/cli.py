@@ -22,11 +22,10 @@ import json
 import sys
 import time
 
-from .construct import CATALOG, catalog_rows
 from .core import format_vertex, parse_landmarks
-from .graphs import is_resolving_general, load_graph
+# resolve (and numpy with it) loads here even though only verify and minimal
+# use it: the cli bench reads numpy's row from `-X importtime` of this module.
 from .resolve import _minimality, is_resolving
-from .search import min_resolving_size
 
 SCHEMA_VERSION = "3"
 
@@ -80,6 +79,8 @@ def cmd_minimal(args) -> tuple[dict, dict, int]:
 
 
 def cmd_construct(args) -> tuple[dict, dict, int]:
+    from .construct import CATALOG, catalog_rows
+
     if args.list:
         if (args.name, args.n, args.k) != (None, None, None):
             raise ValueError("construct --list takes no --name, --n or --k")
@@ -101,6 +102,8 @@ def cmd_construct(args) -> tuple[dict, dict, int]:
 
 
 def cmd_dimension(args) -> tuple[dict, dict, int]:
+    from .search import min_resolving_size
+
     report = min_resolving_size(args.n, max_k=args.max_k, force=args.force)
     inputs = {"n": args.n, "max_k": args.max_k, "force": bool(args.force)}
     result = {
@@ -113,6 +116,8 @@ def cmd_dimension(args) -> tuple[dict, dict, int]:
 
 
 def cmd_graph_verify(args) -> tuple[dict, dict, int]:
+    from .graphs import is_resolving_general, load_graph
+
     g = load_graph(args.graph)
     tokens = [tok.strip() for tok in args.landmarks.split(",")]
     if not all(tok.isascii() and tok.isdigit() for tok in tokens):

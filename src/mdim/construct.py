@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .core import Landmarks, all_ones, check_dimension, enumerate_level, singleton
-from .resolve import is_resolving
 
 
 def basis_minimal_set(n: int) -> Landmarks:
@@ -79,6 +78,8 @@ def product_lift(W: Landmarks) -> Landmarks:
     repeated with coordinate n+1 set (its copy in the second layer, at
     distance 1).  Output size is len(W) + 1.
     """
+    from .resolve import is_resolving  # here, not at the top: importing construct loads no numpy
+
     check_dimension(W.n + 1)
     if not is_resolving(W).resolving:
         raise ValueError("product_lift needs a resolving input set")

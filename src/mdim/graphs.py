@@ -4,11 +4,20 @@ Distances come from plain breadth-first search on adjacency lists, with no
 shared machinery with the meet-in-the-middle hypercube verifier; that
 independence is what makes this module usable as a cross-check oracle.  It
 also carries the K2 cartesian product used to lift resolving sets one
-dimension up.
+dimension up, and the edge-list file format.
+
+Edge lists are checked and converted in bulk: one pattern over a graph
+file, one split and int conversion of its endpoints, builtin min and max
+for the range check, and one check of the sorted adjacency for self-loops
+and duplicate edges.  Only a file or an edge list that fails a check, or a
+file in a form the pattern does not cover, is walked line by line or edge
+by edge, and the walk raises the error that names the first bad line or
+edge.
 """
 
 from __future__ import annotations
 
+import re
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -35,8 +44,34 @@ class Graph:
 def graph_from_edges(vertex_count: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build and validate a Graph from an edge list.
 
-    Rejects self-loops, duplicate edges and out-of-range endpoints.
+    Rejects self-loops, duplicate edges and out-of-range endpoints.  A
+    valid list is checked and converted in bulk; one that fails a check is
+    walked edge by edge, so that the error names the first bad edge.
     """
+    edges = list(edges)
+    graph = _bulk_graph(vertex_count, [u for u, _ in edges], [v for _, v in edges])
+    return graph if graph is not None else _walk_edges(vertex_count, edges)
+
+
+def _bulk_graph(vertex_count: int, us: list[int], vs: list[int]) -> Graph | None:
+    """The Graph of edges (us[i], vs[i]), or None if graph_from_edges would refuse them."""
+    if vertex_count < 1:
+        return None
+    if us and not (0 <= min(min(us), min(vs)) and max(max(us), max(vs)) < vertex_count):
+        return None
+    neighbours: list[list[int]] = [[] for _ in range(vertex_count)]
+    for u, v in zip(us, vs):
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    adjacency = tuple(tuple(sorted(ns)) for ns in neighbours)
+    # a self-loop lists its vertex twice, and a repeated edge both endpoints
+    if sum(map(len, map(set, adjacency))) != 2 * len(us):
+        return None
+    return Graph(vertex_count, adjacency)
+
+
+def _walk_edges(vertex_count: int, edges: Iterable[tuple[int, int]]) -> Graph:
+    """graph_from_edges one edge at a time, raising at the first bad one."""
     if vertex_count < 1:
         raise ValueError(f"graph needs at least one vertex, got {vertex_count}")
     seen: set[tuple[int, int]] = set()
@@ -145,10 +180,43 @@ def parse_graph(text: str) -> Graph:
     """Parse the edge-list format: '#' comments, then 'p <count>', then 'u v' lines.
 
     A count above 2^HYPERCUBE_CAP is refused before anything is allocated
-    for it.  Edges go lazily to graph_from_edges, which checks the count,
-    range, self-loops and duplicates; any error after the 'p' line's shape
-    is checked names the line that raised it.
+    for it.  A file whose edge section is only 'u v' lines, ASCII digits
+    around one space and each line ended by a newline, is checked and
+    converted in bulk.  Any other file (tabs, CRLF or other line breaks,
+    blank or comment lines among the edges, no final newline), and any
+    file that fails a check, is walked line by line by _parse_lines, so
+    that each error names the line that raised it.
     """
+    graph = _parse_bulk(text)
+    return graph if graph is not None else _parse_lines(text)
+
+
+# Line breaks of str.splitlines other than '\n': a comment may not hold one.
+_COMMENT = r"(?:#[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*)?"
+_BULK_FILE = re.compile(
+    rf"(?:[ \t]*{_COMMENT}\n)*[ \t]*p[ \t]+([0-9]+)[ \t]*{_COMMENT}\n"
+    r"((?:[0-9]+ [0-9]+\n)*)"
+)
+
+
+def _parse_bulk(text: str) -> Graph | None:
+    """The Graph of a file _BULK_FILE matches, or None where _parse_lines must decide."""
+    match = _BULK_FILE.fullmatch(text)
+    if match is None:
+        return None
+    count, section = match.groups()
+    try:
+        vertex_count = int(count)
+        endpoints = list(map(int, section.split()))
+    except ValueError:  # int() refuses more than 4,300 digits
+        return None
+    if vertex_count > 1 << HYPERCUBE_CAP:
+        return None
+    return _bulk_graph(vertex_count, endpoints[0::2], endpoints[1::2])
+
+
+def _parse_lines(text: str) -> Graph:
+    """parse_graph one line at a time, raising at the first bad line."""
     lines = (
         (lineno, raw, raw.split("#", 1)[0].split())
         for lineno, raw in enumerate(text.splitlines(), start=1)
@@ -174,7 +242,7 @@ def parse_graph(text: str) -> Graph:
         vertex_count = int(fields[1])
         if vertex_count > 1 << HYPERCUBE_CAP:
             raise ValueError(f"vertex count must be at most {1 << HYPERCUBE_CAP}, got {vertex_count}")
-        return graph_from_edges(vertex_count, edges())
+        return _walk_edges(vertex_count, edges())
     except ValueError as exc:
         raise ValueError(f"line {lineno}: {exc}") from None
 

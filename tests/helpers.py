@@ -113,3 +113,52 @@ def greedy_resolving_set(g) -> list[int]:
         dv = bfs_distances(g, v)
         separator = next(w for w in range(g.vertex_count) if du[w] != dv[w])
         landmarks.append(separator)
+
+
+def reference_parse_graph(text: str):
+    """The edge-list format read one line at a time, as parse_graph read it before it parsed in bulk.
+
+    Returns the Graph, or raises ValueError with the message parse_graph gives.
+    """
+    from mdim.graphs import Graph
+
+    lines = [(lineno, raw, raw.split("#", 1)[0].split()) for lineno, raw in enumerate(text.splitlines(), start=1)]
+    lines = [line for line in lines if line[2]]
+    if not lines:
+        raise ValueError("missing 'p <vertex_count>' line")
+    lineno, raw, fields = lines[0]
+    if fields[0] != "p" or len(fields) != 2 or not (fields[1].isascii() and fields[1].isdigit()):
+        raise ValueError(f"line {lineno}: expected 'p <vertex_count>', got {raw!r}")
+
+    def fail(message: str):
+        raise ValueError(f"line {lineno}: {message}")
+
+    try:
+        count = int(fields[1])
+    except ValueError as exc:  # more than 4,300 digits
+        fail(str(exc))
+    if count > 1 << 16:
+        fail(f"vertex count must be at most {1 << 16}, got {count}")
+    if count < 1:
+        fail(f"graph needs at least one vertex, got {count}")
+    neighbours: list[list[int]] = [[] for _ in range(count)]
+    seen = set()
+    for lineno, raw, fields in lines[1:]:
+        if len(fields) != 2:
+            fail(f"expected 'u v', got {raw!r}")
+        if not all(f.isascii() and f.isdigit() for f in fields):
+            fail(f"endpoints must be ASCII-digit vertex indices, got {raw!r}")
+        try:
+            u, v = int(fields[0]), int(fields[1])
+        except ValueError as exc:
+            fail(str(exc))
+        if not (u < count and v < count):
+            fail(f"edge ({u},{v}) out of range 0..{count - 1}")
+        if u == v:
+            fail(f"self-loop at vertex {u}")
+        if (min(u, v), max(u, v)) in seen:
+            fail(f"duplicate edge ({u},{v})")
+        seen.add((min(u, v), max(u, v)))
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    return Graph(count, tuple(tuple(sorted(ns)) for ns in neighbours))

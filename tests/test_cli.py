@@ -249,6 +249,30 @@ def test_cli_imports_no_worker_pool():
     subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": str(src)})
 
 
+def test_imports_load_only_what_they_use():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = """
+import sys
+import mdim, mdim.core, mdim.graphs, mdim.construct
+assert "numpy" not in sys.modules, "numpy imported"
+names = dir(mdim)
+for name in mdim.__all__:
+    getattr(mdim, name)
+    assert name in names, name
+"""
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    # verify and minimal need resolve, and cli imports it up front, numpy with it: the cli bench reads
+    # numpy's row from `python -X importtime -c "import mdim.cli"`
+    code = """
+import sys
+import mdim.cli
+assert "numpy" in sys.modules, "numpy not imported"
+loaded = {"mdim.search", "mdim.graphs", "mdim.construct"} & set(sys.modules)
+assert not loaded, loaded
+"""
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": str(src)})
+
+
 def test_seed_is_rejected():
     # --seed was reserved and never used; it went with schema_version "2"
     with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,6 @@
 import pytest
 
-import mdim.construct
+import mdim.resolve
 from helpers import naive_is_resolving
 from mdim.construct import (
     CATALOG,
@@ -124,8 +124,8 @@ def test_product_lift_rejects_non_resolving():
 
 def test_product_chain_refuses_n_above_the_cap_before_it_verifies(monkeypatch):
     calls = []
-    verify = mdim.construct.is_resolving
-    monkeypatch.setattr(mdim.construct, "is_resolving", lambda S: calls.append(S.n) or verify(S))
+    verify = mdim.resolve.is_resolving
+    monkeypatch.setattr(mdim.resolve, "is_resolving", lambda S: calls.append(S.n) or verify(S))
     with pytest.raises(ValueError, match=f"dimension must be an int in 1..{DIMENSION_CAP}, got {DIMENSION_CAP + 1}"):
         product_chain_set(DIMENSION_CAP + 1)
     with pytest.raises(ValueError, match=f"got {DIMENSION_CAP + 1}"):
