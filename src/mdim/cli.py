@@ -12,7 +12,9 @@ Each cmd_* maps parsed arguments to (inputs, result, exit_code) and reads
 no clock and prints nothing.  main alone times the command from just after
 parsing, renders its one record under the command's name, and turns a
 ValueError or OSError, from the command or the render, into exit 2 with
-one line on stderr.
+one line on stderr.  construct, dimension and graph-verify import their
+library module inside the command, so their elapsed_ms includes that
+first import.
 """
 
 from __future__ import annotations

@@ -6,13 +6,12 @@ independence is what makes this module usable as a cross-check oracle.  It
 also carries the K2 cartesian product used to lift resolving sets one
 dimension up, and the edge-list file format.
 
-Edge lists are checked and converted in bulk: one pattern over a graph
-file, one split and int conversion of its endpoints, builtin min and max
-for the range check, and one check of the sorted adjacency for self-loops
-and duplicate edges.  Only a file or an edge list that fails a check, or a
-file in a form the pattern does not cover, is walked line by line or edge
-by edge, and the walk raises the error that names the first bad line or
-edge.
+Graph files are checked and converted in bulk: one pattern over the file,
+one split and int conversion of its endpoints, builtin max for the range
+check, and one check of the sorted adjacency for self-loops and duplicate
+edges.  Only a file that fails a check, or one in a form the
+pattern does not cover, is walked line by line, and the walk raises the
+error that names the first bad line.
 """
 
 from __future__ import annotations
@@ -44,34 +43,8 @@ class Graph:
 def graph_from_edges(vertex_count: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build and validate a Graph from an edge list.
 
-    Rejects self-loops, duplicate edges and out-of-range endpoints.  A
-    valid list is checked and converted in bulk; one that fails a check is
-    walked edge by edge, so that the error names the first bad edge.
+    Rejects self-loops, duplicate edges and out-of-range endpoints.
     """
-    edges = list(edges)
-    graph = _bulk_graph(vertex_count, [u for u, _ in edges], [v for _, v in edges])
-    return graph if graph is not None else _walk_edges(vertex_count, edges)
-
-
-def _bulk_graph(vertex_count: int, us: list[int], vs: list[int]) -> Graph | None:
-    """The Graph of edges (us[i], vs[i]), or None if graph_from_edges would refuse them."""
-    if vertex_count < 1:
-        return None
-    if us and not (0 <= min(min(us), min(vs)) and max(max(us), max(vs)) < vertex_count):
-        return None
-    neighbours: list[list[int]] = [[] for _ in range(vertex_count)]
-    for u, v in zip(us, vs):
-        neighbours[u].append(v)
-        neighbours[v].append(u)
-    adjacency = tuple(tuple(sorted(ns)) for ns in neighbours)
-    # a self-loop lists its vertex twice, and a repeated edge both endpoints
-    if sum(map(len, map(set, adjacency))) != 2 * len(us):
-        return None
-    return Graph(vertex_count, adjacency)
-
-
-def _walk_edges(vertex_count: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """graph_from_edges one edge at a time, raising at the first bad one."""
     if vertex_count < 1:
         raise ValueError(f"graph needs at least one vertex, got {vertex_count}")
     seen: set[tuple[int, int]] = set()
@@ -207,12 +180,23 @@ def _parse_bulk(text: str) -> Graph | None:
     count, section = match.groups()
     try:
         vertex_count = int(count)
+        if not 1 <= vertex_count <= 1 << HYPERCUBE_CAP:
+            return None
         endpoints = list(map(int, section.split()))
     except ValueError:  # int() refuses more than 4,300 digits
         return None
-    if vertex_count > 1 << HYPERCUBE_CAP:
+    # the pattern admits no sign, so only the top of the range needs a check
+    if endpoints and max(endpoints) >= vertex_count:
         return None
-    return _bulk_graph(vertex_count, endpoints[0::2], endpoints[1::2])
+    neighbours: list[list[int]] = [[] for _ in range(vertex_count)]
+    for u, v in zip(endpoints[0::2], endpoints[1::2]):
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    adjacency = tuple(tuple(sorted(ns)) for ns in neighbours)
+    # a self-loop lists its vertex twice, and a repeated edge both endpoints
+    if sum(map(len, map(set, adjacency))) != len(endpoints):
+        return None
+    return Graph(vertex_count, adjacency)
 
 
 def _parse_lines(text: str) -> Graph:
@@ -242,7 +226,7 @@ def _parse_lines(text: str) -> Graph:
         vertex_count = int(fields[1])
         if vertex_count > 1 << HYPERCUBE_CAP:
             raise ValueError(f"vertex count must be at most {1 << HYPERCUBE_CAP}, got {vertex_count}")
-        return _walk_edges(vertex_count, edges())
+        return graph_from_edges(vertex_count, edges())
     except ValueError as exc:
         raise ValueError(f"line {lineno}: {exc}") from None
 
