@@ -8,19 +8,23 @@ when no nonzero x in {-1,0,1}^n has b_s . x = 0 for every s in S (the
 detecting-matrix view of Lindstrom and of Sebo-Tannier).
 
 Write B for the k x n matrix of the b_s.  The rank path decides a set
-from B's kernel.  _echelon reduces B over F_p, p = 2^31 - 1, to its rank
-r, its pivot columns and its d = n - r free columns; d = 0 resolves at
-once.  Otherwise _rank_kernel enumerates the
-(3^d - 1)/2 free sign vectors whose highest nonzero entry is +1, keeps
-those whose pivot entries come out as the residues 0, 1 or p - 1, lifts
-them to sign vectors x and confirms B x = 0 exactly in integers.  That is
-exact for three reasons: every integer kernel vector of B is also one over
-F_p; over F_p a kernel vector is fixed by its free entries; and since
-p > 3, a residue lifts to -1, 0 or 1 in at most one way.  So every kernel
-vector in {-1,0,1}^n, or its negative, is a confirmed candidate, and the
-confirm rejects the kernel vectors of F_p alone.  The paper's sets of n - 1
-members have d = 1: their kernel is the line through (3 - n, 1, ..., 1),
-which holds no sign vector from n = 5 on.
+from B's kernel.  _residues writes B over F_p, p = 2^31 - 1, as int64
+residues straight from the members, 1 for b = 1 and p - 1 for b = -1, and
+_echelon reduces it to its rank r, its pivot columns and its d = n - r
+free columns; d = 0 resolves at once.  Otherwise _rank_kernel scales each
+pivot row by the inverse of its pivot entry, so every pivot is 1, and
+enumerates the (3^d - 1)/2 free sign vectors whose highest nonzero entry
+is +1, one cached table per d (_free_signs).  One int64 matmul gives
+their sums s over the scaled rows, and one test lifts a candidate to a
+sign vector x: every (s + 1) mod p is below 3, and x's pivot entries are
+1 minus those values.  Each lifted x is confirmed, B x = 0, exactly in
+integers.  That is exact for three reasons: every integer kernel vector
+of B is also one over F_p; over F_p a kernel vector is fixed by its free
+entries; and since p > 3, a residue lifts to -1, 0 or 1 in at most one
+way.  So every kernel vector in {-1,0,1}^n, or its negative, is a
+confirmed candidate, and the confirm rejects the kernel vectors of F_p
+alone.  The paper's sets of n - 1 members have d = 1: their kernel is the
+line through (3 - n, 1, ..., 1), which holds no sign vector from n = 5 on.
 
 The rank path runs when it costs fewer keys than meet in the middle
 sorts (_rank_pays): k pivot steps at _PIVOT_KEYS keys each, plus one key
@@ -299,9 +303,18 @@ def _kernel_witness(signs: np.ndarray, left: np.ndarray, right: np.ndarray) -> i
 
 
 def _signs(n: int, members) -> np.ndarray:
-    """The n x k matrix of b_{j,i} = 1 - 2 s_{j,i} for the members s_j, as int8."""
+    """The n x k matrix of b_{j,i} = 1 - 2 s_{j,i} for the members s_j, as int8: what MITM keys and confirms."""
     bits = np.array(members, dtype=np.uint32)[:, None] >> np.arange(n, dtype=np.uint32) & 1
     return 1 - 2 * bits.T.astype(np.int8)
+
+
+# 2^i for every coordinate i, up to DIMENSION_CAP
+_BITS = np.left_shift(1, np.arange(DIMENSION_CAP, dtype=np.int64))
+
+
+def _residues(n: int, members) -> np.ndarray:
+    """B over F_p, p = _PRIME, as the k x n int64 matrix of b_{j,i}: 1 where bit i of s_j is 0, p - 1 where it is 1."""
+    return np.where(np.array(members, dtype=np.int64)[:, None] & _BITS[:n], _PRIME - 1, 1)
 
 
 # Words per block of the neighbour scan and of the rank path's residues:
@@ -381,8 +394,8 @@ def _matched_runs(signs: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
 # whose residues' products fit an int64.
 _PRIME = 2**31 - 1
 
-# One pivot step of _echelon, priced in MITM keys: 6-14 us a step against 11-17 ns a key
-# (n = 16-24 on a 2 vCPU Xeon).
+# One pivot step of _echelon, priced in MITM keys: 5-8 us a step against 11-17 ns a key
+# (n = 16-24, n/2 + 2 to n members, warm, on a 2 vCPU Xeon).
 _PIVOT_KEYS = 512
 
 
@@ -440,20 +453,25 @@ def _reduce(rows: np.ndarray, n: int) -> tuple[list[int], np.ndarray]:
     return kept, np.array(pivots, dtype=np.intp)
 
 
-def _echelon(signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """B reduced over F_p by _reduce: (rows, pivots), the nonzero rows and their pivot columns.
+def _inverses(residues: list[int]) -> np.ndarray:
+    """The inverses over F_p of nonzero residues, as int64."""
+    p = _PRIME
+    return np.array([pow(a, -1, p) for a in residues], dtype=np.int64)
+
+
+def _echelon(residues: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """B reduced over F_p by _reduce, from its _residues: (rows, pivots), the nonzero rows and their pivot columns.
 
     Pivot column pivots[i] is zero in every row but row i, and x is a
     kernel vector of B over F_p exactly when rows[i] . x = 0 for every i:
     its free entries fix the others.
     """
-    rows = signs.T.astype(np.int64)
-    rows %= _PRIME
-    kept, pivots = _reduce(rows, len(signs))
+    rows = residues.copy()
+    kept, pivots = _reduce(rows, rows.shape[1])
     return rows[kept], pivots
 
 
-def _echelon_with_transform(signs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _echelon_with_transform(residues: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """_echelon's (rows, pivots), and what _rank_kernel reads of a k x k transform E with E B = [rows; 0] over F_p.
 
     That is E's r pivot rows, in order, then one row that is nonzero in
@@ -464,10 +482,9 @@ def _echelon_with_transform(signs: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     pivot rows' columns but on its diagonal, which is nonzero; _reduce
     carries those min(n, k) columns alone, not all k.
     """
-    n, k = signs.shape
+    k, n = residues.shape
     rows = np.zeros((k, n + min(n, k)), dtype=np.int64)
-    rows[:, :n] = signs.T
-    rows %= _PRIME
+    rows[:, :n] = residues
     kept, pivots = _reduce(rows, n)
     r = len(kept)
     cleared = np.ones(k, dtype=bool)
@@ -479,46 +496,65 @@ def _echelon_with_transform(signs: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     return rows[kept, :n], pivots, transform
 
 
+@lru_cache(maxsize=None)
+def _free_signs(d: int) -> np.ndarray:
+    """The (3^d - 1)/2 sign vectors of length d whose highest nonzero entry is +1, as read-only int8 rows.
+
+    They are those of the indices [3^t, 2 3^t) for t < d, in index order:
+    every nonzero sign vector is one of them or its negative.  Like
+    _rank_tables(n), the table depends on d alone; at d = 12, the most the
+    rank path admits, it holds 3.2 MB.
+    """
+    signs = _sign_vectors(np.concatenate([np.arange(0), *(np.arange(3**t, 2 * 3**t) for t in range(d))]), d)
+    signs.flags.writeable = False
+    return signs
+
+
 def _rank_kernel(
-    signs: np.ndarray, rows: np.ndarray, pivots: np.ndarray, transform: np.ndarray | None = None
+    residues: np.ndarray, rows: np.ndarray, pivots: np.ndarray, transform: np.ndarray | None = None
 ) -> tuple[tuple[int, int] | None, np.ndarray | None]:
-    """(witness, needed) from the _echelon (rows, pivots) of the n x k matrix of _signs, by enumerating free entries.
+    """(witness, needed) from the _echelon (rows, pivots) of the k x n _residues of B, by enumerating free entries.
 
     witness is S's _witness.  needed, given what _echelon_with_transform
     returns of the transform E, masks the members j for which S - j fails,
     read only when S resolves; it is None without E.
 
-    A candidate of S assigns the d free entries a sign vector whose highest
-    nonzero entry is +1, (3^d - 1)/2 of them, decoded from the indices
-    [3^t, 2 3^t) by the _tables of the free columns, with sums s of the
-    rows over them.  Pivot i then needs a_i x_c_i = -s_i for its column
-    c_i and a_i = rows[i, c_i], so x_c_i is 0, +1 or -1 when s_i is 0,
-    p - a_i or a_i, and otherwise the candidate lifts to no sign vector.
+    Each row is scaled by the inverse of its pivot entry, one
+    pow(a, -1, p) each, so pivot i, in column c_i, is 1; only the free
+    columns are read, and scaling a row of B's echelon form scales its row
+    of E alike.  A candidate of S
+    assigns the d free entries one of the (3^d - 1)/2 _free_signs, and one
+    int64 matmul gives the sums s of the scaled rows over them.  Pivot i
+    then needs x_c_i = -s_i: the candidate lifts exactly when every
+    residue v = (s_i + 1) mod p is below 3, with x_c_i = 1 - v, and
+    otherwise to no sign vector.
 
     B_{S-j} x = 0 exactly when B x = lambda e_j for some lambda, that is
     when E B x = lambda E e_j.  Column j of E decides how the kernel of
     S - j over F_p looks:
     - nonzero on a row that cleared: lambda = 0, and the kernel is S's own,
       with the same free columns;
-    - otherwise, with u its part on the pivot rows and a row i* where
-      u_i* != 0: x is a kernel vector exactly when
-      u_i* rows[i] . x = u_i rows[i*] . x for every i.  That is again in
-      Gauss-Jordan form: c_i* becomes free, and every other pivot keeps its
-      column, with scale u_i* a_i.
+    - otherwise, with u its part on the scaled pivot rows, and beta = u /
+      u_i* for a row i* where u_i* != 0: x is a kernel vector exactly when
+      rows[i] . x = beta_i rows[i*] . x for every i.  That is again in
+      Gauss-Jordan form with pivot entries 1: c_i* becomes free, and every
+      other pivot keeps its column.
     A candidate of member j puts t = 0 or 1 on c_i*: S's candidates with
-    t = 0 come first, then every free sign vector with t = 1,
-    (3^(d+1) - 1)/2 in all.  Pivot c_i then needs
-    u_i* a_i x_c_i = -(u_i* s_i - u_i (s_i* + a_i* t)), lifted by the same
-    rule; for i = i* that gives x_c_i* = t.  A cleared column of E takes
-    u_i* = 1 and u = 0, and so does S, which enters as column 0: its
-    residues are the sums s.  t then goes nowhere, so past S's candidates a
-    cleared column would only give x = 0 and repeats up to sign; there it
-    gets p, which lifts nothing.  All columns' residues come from one array
-    of shape (candidates, 1 + k, rank), in blocks of at most _PAIR_BLOCK
-    residues; without E, S's alone are (candidates, rank).
+    t = 0 come first, then every free sign vector with t = 1, (3^(d+1) -
+    1)/2 in all: the _free_signs, their negatives, whose sums are -s, and
+    zero.  Pivot c_i then needs x_c_i = beta_i (s_i* + t) - s_i, lifted by
+    the same test on v = (s_i - beta_i (s_i* + t) + 1) mod p; for i = i*
+    that gives x_c_i* = t.  A cleared column of E takes beta = 0, and so
+    does S, which enters as column 0: its v are S's own.  t then goes
+    nowhere, so past S's candidates a cleared column would only give x = 0
+    and repeats up to sign; there it gets v = p, which lifts nothing.  All
+    columns' v come from one array of shape (candidates, 1 + k, rank), in
+    blocks of at most _PAIR_BLOCK residues; without E, S's alone are
+    (candidates, rank).
 
-    Each lifted x is checked exactly in integers, which rejects the kernel
-    vectors of F_p alone: B x = 0 makes x a kernel vector of S (x = 0 is
+    Each lifted x is checked exactly in integers, by one int64 matmul with
+    the residues, which rejects the kernel vectors of F_p alone:
+    B x = 0 makes x a kernel vector of S (x = 0 is
     never lifted), and B x nonzero at one member alone marks that member
     (_needed).  Every integer kernel vector of S, or of S - j, is a kernel
     vector over F_p, fixed by its free entries, so it or its negative is a
@@ -526,61 +562,62 @@ def _rank_kernel(
     pass stops when S fails or every member is needed.
     """
     p = _PRIME
-    n, k = signs.shape
+    k, n = residues.shape
     r = pivots.size
     d = n - r
     settled = (3**d - 1) // 2
-    index = [np.arange(3**i, 2 * 3**i) for i in range(d)]
-    if transform is not None:
-        index.append(np.arange(3**d))
-    if not index:
+    if not settled and transform is None:
         return None, None
-    index = np.concatenate(index)
-    free = np.ones(n, dtype=bool)
-    free[pivots] = False
-    scale = rows[np.arange(r), pivots]
-    coeffs = rows[:, free].T
-    sums = _lookup(index, _tables(coeffs, p - coeffs))
-    sums %= p
-    needed, scales = None, scale
-    if transform is not None:
+    pivot_list = pivots.tolist()
+    free = [c for c in range(n) if c not in pivot_list]
+    scale = rows[:, pivots].diagonal()  # the pivot entries
+    signs = _free_signs(d)
+    needed = None
+    if transform is None:
+        inverse = _inverses(scale.tolist())
+    else:
         # S first, as a column of E that is zero on the pivot rows and cleared
-        u = np.concatenate([np.zeros((r, 1), dtype=np.int64), transform[:r]], axis=1)
-        cleared = np.concatenate([[True], transform[r:].any(axis=0)])
-        star = (u != 0).argmax(axis=0)
-        alpha = np.where(cleared, 1, u[star, np.arange(k + 1)])
-        beta = np.where(cleared, 0, u).T  # (1 + k, rank)
-        scales = alpha[:, None] * scale % p
-        t = (np.arange(index.size) >= settled).astype(np.int64)
+        cleared = np.concatenate([[True], transform[r] != 0])
+        live = np.flatnonzero(~cleared)
+        u = transform[:r, live - 1]
+        star = np.zeros(k + 1, dtype=np.intp)
+        star[live] = (u != 0).argmax(axis=0)
+        inverse = _inverses(scale.tolist() + u[star[live], np.arange(live.size)].tolist())
+        # beta = (u / a) / (u_i* / a_i*) for the pivot entries a: u on the scaled rows, scaled to 1 at i*
+        beta = np.zeros((k + 1, r), dtype=np.int64)
+        beta[live] = (u * inverse[:r, None] % p * (scale[star[live]] * inverse[r:] % p) % p).T
         needed = np.zeros(k, dtype=bool)
+    sums = signs @ (rows[:, free] * inverse[:r, None] % p).T
+    sums += 1
+    sums %= p
+    if needed is not None:
+        signs = np.concatenate([signs, signs, -signs, np.zeros((1, d), dtype=np.int8)])
+        sums = np.concatenate([sums, sums, (2 - sums) % p, np.ones((1, r), dtype=np.int64)])
     unset = 1 << 2 * n  # above every rank
     best = unset
-    block = max(_PAIR_BLOCK // scales.size, 1)
-    for start in range(0, index.size, block):
+    block = max(_PAIR_BLOCK // (r if needed is None else (k + 1) * r), 1)
+    for start in range(0, len(sums), block):
         c = slice(start, start + block)
         if needed is None:
-            residues = sums[c]
+            lift = sums[c]
         else:
-            star_sums = sums[c][:, star] + scale[star] * t[c, None]
-            star_sums %= p
-            residues = alpha[:, None] * sums[c, None, :]  # (candidates, 1 + k, rank)
-            residues -= beta * star_sums[:, :, None]
-            residues -= residues // p * p  # mod p: numpy divides by a scalar several times faster than it takes remainders
-            residues[max(settled - start, 0):, cleared] = p  # p is no residue: these lift nothing
-        plus, minus = residues == p - scales, residues == scales
-        lifts = (plus | minus | (residues == 0)).all(axis=-1)
-        if lifts.any():
-            at = lifts.nonzero()[0]
-            x = np.zeros((at.size, n), dtype=np.int8)
-            x[:, free] = _sign_vectors(index[c][at], d)
-            x[:, pivots] = plus[lifts]
-            x[:, pivots] -= minus[lifts]
-            products = x @ signs
+            star_sums = sums[c][:, star]
+            star_sums[:max(settled - start, 0)] -= 1  # s_i* + t: t = 0 on S's candidates, 1 past them
+            lift = sums[c, None, :] - beta * star_sums[:, :, None]  # (candidates, 1 + k, rank)
+            lift -= lift // p * p  # mod p: numpy divides by a scalar several times faster than it takes remainders
+            lift[max(settled - start, 0):, cleared] = p  # p is no residue: these lift nothing
+        lifts = (lift < 3).all(axis=-1)
+        at = lifts.nonzero()[0]
+        if at.size:
+            x = np.zeros((at.size, n), dtype=np.int64)
+            x[:, free] = signs[start + at]
+            x[:, pivots] = 1 - lift[lifts]
+            # B's residues R are 1 and p - 1, so (p - 2) B = p - 2 R entrywise: B x = 0 where 2 R x = p sum(x)
+            products = 2 * (x @ residues.T) - p * x.sum(axis=1, keepdims=True)
             if start < settled:  # every kernel vector of S, or its negative, is among S's own candidates
                 kernel = x[~products.any(axis=1)]
                 if len(kernel):
-                    weights = np.left_shift(1, np.arange(n, dtype=np.int64))
-                    pos, neg = (kernel == 1) @ weights, (kernel == -1) @ weights
+                    pos, neg = (kernel == 1) @ _BITS[:n], (kernel == -1) @ _BITS[:n]
                     best = min(best, int((np.minimum(pos, neg) << n | np.maximum(pos, neg)).min()))
             if needed is not None:
                 needed |= _needed(products.T)
@@ -589,28 +626,30 @@ def _rank_kernel(
     return None if best == unset else divmod(best, 1 << n), needed
 
 
-def _mitm_witness(signs: np.ndarray) -> tuple[int, int] | None:
+def _mitm_witness(n: int, members) -> tuple[int, int] | None:
     """_witness by meet in the middle: the confirmed candidates of one sorted set of keys."""
+    signs = _signs(n, members)
     runs = _matched_runs(signs)
     if runs is None:
         return None
     rank = _kernel_witness(signs, *runs)
-    return None if rank is None else divmod(rank, 1 << len(signs))
+    return None if rank is None else divmod(rank, 1 << n)
 
 
-def _witness(signs: np.ndarray) -> tuple[int, int] | None:
-    """The smallest colliding pair (u, v), u < v, or None when the members of the n x k matrix of _signs resolve Q^n.
+def _witness(n: int, members) -> tuple[int, int] | None:
+    """The smallest colliding pair (u, v), u < v, or None when the members resolve Q^n.
 
     The rank path decides sets whose _echelon makes it cost fewer keys
     than MITM's (_rank_pays); d >= max(n - k, 0) decides that before the
     elimination, the rank after it.
     """
-    n, k = signs.shape
+    k = len(members)
     if _rank_pays(n, k, max(n - k, 0)):
-        rows, pivots = _echelon(signs)
+        residues = _residues(n, members)
+        rows, pivots = _echelon(residues)
         if _rank_pays(n, k, n - pivots.size):
-            return _rank_kernel(signs, rows, pivots)[0]
-    return _mitm_witness(signs)
+            return _rank_kernel(residues, rows, pivots)[0]
+    return _mitm_witness(n, members)
 
 
 def _check(S: Landmarks) -> None:
@@ -631,7 +670,7 @@ def is_resolving(S: Landmarks, *, threads: int = 1) -> VerificationReport:
     """
     _check(S)
     t0 = time.perf_counter()
-    witness = _witness(_signs(S.n, S.members))
+    witness = _witness(S.n, S.members)
     return VerificationReport(
         resolving=witness is None,
         witness=witness,
@@ -659,13 +698,13 @@ def _members_pay(n: int, k: int, d: int) -> bool:
     return _rank_cost(n, 0, d, k) <= (k + 1) * _key_count(n // 2, n - n // 2)
 
 
-def _verdicts_needed(signs: np.ndarray) -> np.ndarray:
+def _verdicts_needed(n: int, members: tuple[Vertex, ...]) -> np.ndarray:
     """Which members of a resolving set are needed, as a mask: one _witness of S - j per member j.
 
     The empty set never resolves (n >= 1), so a lone member is needed without a verdict.
     """
-    k = signs.shape[1]
-    return np.array([k == 1 or _witness(np.delete(signs, j, axis=1)) is not None for j in range(k)])
+    k = len(members)
+    return np.array([k == 1 or _witness(n, members[:j] + members[j + 1:]) is not None for j in range(k)])
 
 
 def _removable(members: tuple[Vertex, ...], needed: np.ndarray) -> list[Vertex]:
@@ -682,15 +721,15 @@ def _minimality(S: Landmarks) -> tuple[tuple[int, int] | None, list[Vertex] | No
     members _verdicts_needed.
     """
     _check(S)
-    signs = _signs(S.n, S.members)
-    n, k = signs.shape
+    n, k = S.n, len(S.members)
     if _members_pay(n, k, max(n - k, 0)):
-        rows, pivots, transform = _echelon_with_transform(signs)
+        residues = _residues(n, S.members)
+        rows, pivots, transform = _echelon_with_transform(residues)
         if _members_pay(n, k, n - pivots.size):
-            witness, needed = _rank_kernel(signs, rows, pivots, transform)
+            witness, needed = _rank_kernel(residues, rows, pivots, transform)
             return witness, None if witness else _removable(S.members, needed)
-    witness = _witness(signs)
-    return witness, None if witness else _removable(S.members, _verdicts_needed(signs))
+    witness = _witness(n, S.members)
+    return witness, None if witness else _removable(S.members, _verdicts_needed(n, S.members))
 
 
 def is_minimal(S: Landmarks, *, threads: int = 1) -> tuple[bool, list[Vertex]]:

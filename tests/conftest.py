@@ -18,9 +18,9 @@ def verdicts(monkeypatch):
     rank, keys = mdim.resolve._rank_kernel, mdim.resolve._verdict_keys
     seen = []
 
-    def spy(signs, rows, pivots, transform=None):
+    def spy(residues, rows, pivots, transform=None):
         seen.append("rank" if transform is None else "rank-members")
-        return rank(signs, rows, pivots, transform)
+        return rank(residues, rows, pivots, transform)
 
     monkeypatch.setattr(mdim.resolve, "_rank_kernel", spy)
     monkeypatch.setattr(mdim.resolve, "_verdict_keys", lambda *args: seen.append("mitm") or keys(*args))

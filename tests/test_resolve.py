@@ -146,12 +146,12 @@ def test_resolves_matches_bruteforce():
     for i in range(3000):
         n = rng.randint(1, 12 if i % 4 == 0 else 9)
         S = random_landmarks(rng, n, rng.randint(1, min(1 << n, n + 3)))
-        assert mdim.resolve._witness(mdim.resolve._signs(n, S.members)) == naive_is_resolving(n, S.members)[1], S
+        assert mdim.resolve._witness(n, S.members) == naive_is_resolving(n, S.members)[1], S
 
 
-def rank_path(signs):
+def rank_path(residues):
     """The rank path's witness, whatever its cost against meet in the middle."""
-    return mdim.resolve._rank_kernel(signs, *mdim.resolve._echelon(signs))[0]
+    return mdim.resolve._rank_kernel(residues, *mdim.resolve._echelon(residues))[0]
 
 
 def test_rank_and_mitm_paths_match_bruteforce():
@@ -160,15 +160,13 @@ def test_rank_and_mitm_paths_match_bruteforce():
     for i in range(3000):
         n = rng.randint(1, 12 if i % 4 == 0 else 9)
         S = random_landmarks(rng, n, rng.randint(1, n))
-        signs = mdim.resolve._signs(n, S.members)
         expected = naive_is_resolving(n, S.members)[1]
-        assert rank_path(signs) == expected, S
-        assert mdim.resolve._mitm_witness(signs) == expected, S
+        assert rank_path(mdim.resolve._residues(n, S.members)) == expected, S
+        assert mdim.resolve._mitm_witness(n, S.members) == expected, S
     for _ in range(60):
         n = rng.randint(13, 24)
         S = random_landmarks(rng, n, rng.randint(n - 8, n))
-        signs = mdim.resolve._signs(n, S.members)
-        assert rank_path(signs) == mdim.resolve._mitm_witness(signs), S
+        assert rank_path(mdim.resolve._residues(n, S.members)) == mdim.resolve._mitm_witness(n, S.members), S
 
 
 @pytest.mark.parametrize("prime", [3, 5])
@@ -189,7 +187,7 @@ def test_rank_path_confirms_its_lifts_exactly_at_small_primes(prime, monkeypatch
         products = np.array(list(itertools.product((-1, 0, 1), repeat=n))) @ signs
         spurious += bool(((products % prime == 0).all(axis=1) & products.any(axis=1)).any())
         expected = naive_is_resolving(n, S.members)
-        assert rank_path(signs) == expected[1], S
+        assert rank_path(mdim.resolve._residues(n, S.members)) == expected[1], S
         got = is_resolving(S)
         assert (got.resolving, got.witness) == expected, S
         if expected[0]:
@@ -199,9 +197,9 @@ def test_rank_path_confirms_its_lifts_exactly_at_small_primes(prime, monkeypatch
     assert {"rank", "mitm", "rank-members"} <= set(verdicts)
 
 
-def rank_needed(signs):
+def rank_needed(residues):
     """The rank path's needed members, whatever its cost against the per-member verdicts."""
-    return mdim.resolve._rank_kernel(signs, *mdim.resolve._echelon_with_transform(signs))[1]
+    return mdim.resolve._rank_kernel(residues, *mdim.resolve._echelon_with_transform(residues))[1]
 
 
 def test_rank_and_member_minimality_match_bruteforce():
@@ -218,22 +216,22 @@ def test_rank_and_member_minimality_match_bruteforce():
             members = (members[0], members[0] ^ ((1 << n) - 1)) + members[2:]
             if len(set(members)) < len(members):
                 continue
-        signs = mdim.resolve._signs(n, members)
-        if mdim.resolve._witness(signs) is not None:
+        if mdim.resolve._witness(n, members) is not None:
             continue
         assert naive_is_resolving(n, members)[0], (n, members)
-        rows, pivots, transform = mdim.resolve._echelon_with_transform(signs)
+        signs, residues = mdim.resolve._signs(n, members), mdim.resolve._residues(n, members)
+        rows, pivots, transform = mdim.resolve._echelon_with_transform(residues)
         # E's pivot rows take B to the reduced rows over F_p and are independent; its last row
         # marks the members that the others span, whose removal leaves the rank as it was
         r = pivots.size
         assert np.array_equal(transform[:r] @ signs.T % mdim.resolve._PRIME, rows), (n, members)
-        assert mdim.resolve._echelon(transform[:r].T)[1].size == r, (n, members)
-        spanned = [mdim.resolve._echelon(np.delete(signs, j, axis=1))[1].size == r for j in range(len(members))]
+        assert mdim.resolve._echelon(transform[:r])[1].size == r, (n, members)
+        spanned = [mdim.resolve._echelon(np.delete(residues, j, axis=0))[1].size == r for j in range(len(members))]
         assert (transform[r] != 0).tolist() == spanned, (n, members)
         removable = naive_removable(n, members)
         expected = [s not in removable for s in members]
-        assert mdim.resolve._rank_kernel(signs, rows, pivots, transform)[1].tolist() == expected, (n, members)
-        assert mdim.resolve._verdicts_needed(signs).tolist() == expected, (n, members)
+        assert mdim.resolve._rank_kernel(residues, rows, pivots, transform)[1].tolist() == expected, (n, members)
+        assert mdim.resolve._verdicts_needed(n, members).tolist() == expected, (n, members)
         dependent += pivots.size < len(members)
         wide += len(members) > n
         checked += 1
@@ -242,9 +240,9 @@ def test_rank_and_member_minimality_match_bruteforce():
     while checked < 40:
         n = rng.randint(13, 24)
         S = random_landmarks(rng, n, rng.randint(n - 5, n + 3))
-        signs = mdim.resolve._signs(n, S.members)
-        if mdim.resolve._witness(signs) is None:
-            assert np.array_equal(rank_needed(signs), mdim.resolve._verdicts_needed(signs)), S
+        if mdim.resolve._witness(n, S.members) is None:
+            needed = rank_needed(mdim.resolve._residues(n, S.members))
+            assert np.array_equal(needed, mdim.resolve._verdicts_needed(n, S.members)), S
             checked += 1
 
 
@@ -314,16 +312,37 @@ def test_paper_kernel_lines():
     for n in range(5, DIMENSION_CAP + 1):
         line = np.array([3 - n] + [1] * (n - 1))
         for S, x in ((basis_minimal_set(n), line), (reduced_erdos_renyi_set(n), line[::-1])):
-            signs = mdim.resolve._signs(n, S.members)
-            rows, pivots = mdim.resolve._echelon(signs)
-            assert pivots.size == n - 1 and not (x @ signs).any(), (n, S)
-            assert mdim.resolve._rank_kernel(signs, rows, pivots) == (None, None)
+            residues = mdim.resolve._residues(n, S.members)
+            rows, pivots = mdim.resolve._echelon(residues)
+            assert pivots.size == n - 1 and not (x @ mdim.resolve._signs(n, S.members)).any(), (n, S)
+            assert mdim.resolve._rank_kernel(residues, rows, pivots) == (None, None)
             assert is_resolving(S).resolving
     # at n = 4 the line is a sign vector, and gives the witness (pos x, neg x) up to sign
     for members, witness in (((2, 4, 8), (1, 14)), ((14, 13, 11), (7, 8))):
         S = Landmarks(4, members)
-        assert rank_path(mdim.resolve._signs(4, members)) == witness
+        assert rank_path(mdim.resolve._residues(4, members)) == witness
         assert is_resolving(S).witness == witness == naive_is_resolving(4, members)[1]
+
+
+def test_free_sign_vectors_cover_every_sign_vector_once_up_to_sign():
+    # the rank path admits at most 12 free columns up to the cap, and the members' pass, whose
+    # t = 1 part reads all 3^d free sign vectors, at most 11; the tables are checked to d = 12
+    def most_free(pays):
+        return max(d for n in range(1, DIMENSION_CAP + 1) for d in range(n) for k in (n - d, n, 3 * n) if pays(n, k, d))
+
+    assert most_free(mdim.resolve._rank_pays) == 12 and most_free(mdim.resolve._members_pay) == 11
+    for d in range(13):
+        signs = mdim.resolve._free_signs(d)
+        assert signs is mdim.resolve._free_signs(d) and not signs.flags.writeable
+        assert signs.dtype == np.int8 and signs.shape == ((3**d - 1) // 2, d), d
+        index = (signs % 3).astype(np.int64) @ 3 ** np.arange(d)  # digit 2 for -1
+        assert np.array_equal(mdim.resolve._sign_vectors(index, d), signs) and (np.diff(index) > 0).all(), d
+        if d:  # the highest nonzero entry of each is +1
+            top = d - 1 - (signs[:, ::-1] != 0).argmax(axis=1)
+            assert (signs[np.arange(len(signs)), top] == 1).all(), d
+        # with their negatives and zero, every sign vector once: what the t = 1 part reads
+        negated = (-signs % 3).astype(np.int64) @ 3 ** np.arange(d)
+        assert np.array_equal(np.sort(np.concatenate([[0], index, negated])), np.arange(3**d)), d
 
 
 @pytest.fixture(params=[1, 0], ids=["all-one-weights", "all-zero-weights"])
@@ -357,7 +376,7 @@ def test_resolves_confirms_key_matches_exactly(colliding_weights):
     for _ in range(300):
         n = rng.randint(1, 10)
         S = random_landmarks(rng, n, rng.randint(1, min(1 << n, n + 3)))
-        assert mdim.resolve._mitm_witness(mdim.resolve._signs(n, S.members)) == naive_is_resolving(n, S.members)[1], S
+        assert mdim.resolve._mitm_witness(n, S.members) == naive_is_resolving(n, S.members)[1], S
     assert overruled(colliding_weights) >= 50
 
 
@@ -683,7 +702,7 @@ def check_sign_edge_sets(seed):
             expected = naive_is_resolving(n, members)
             u, v = expected[1]
             assert u | v == singleton(i) | singleton(j), (n, kind, members)  # x is supported on i and j
-            assert mdim.resolve._witness(mdim.resolve._signs(n, members)) == expected[1], (n, kind, members)
+            assert mdim.resolve._witness(n, members) == expected[1], (n, kind, members)
             got = is_resolving(Landmarks(n, members))
             assert (got.resolving, got.witness) == expected, (n, kind, members)
             kinds.add((kind, n % 2))
@@ -862,9 +881,8 @@ def test_is_minimal_matches_bruteforce_under_all_zero_weights(monkeypatch, minim
 
 
 def test_is_minimal_runs_one_elimination(verdicts):
-    # one elimination and one pass over the lifted candidates decide S and all of its members;
-    # the group check would sort one set of keys per half of the members, and k + 1 verdicts
-    # without it
+    # one elimination and one pass over the lifted candidates decide S and all of its members,
+    # where the per-member route would run k + 1 verdicts, one for S and one for each S - j
     assert is_minimal(basis_minimal_set(20)) == (True, [])
     assert verdicts == ["rank-members"]
 
@@ -902,7 +920,7 @@ def test_minimality_routes_are_pinned(monkeypatch, verdicts):
     monkeypatch.setattr(mdim.resolve, "_members_pay", lambda n, k, d: False)
     witness = mdim.resolve._witness
     widths = []
-    monkeypatch.setattr(mdim.resolve, "_witness", lambda signs: widths.append(signs.shape[1]) or witness(signs))
+    monkeypatch.setattr(mdim.resolve, "_witness", lambda n, members: widths.append(len(members)) or witness(n, members))
     verdicts.clear()
     assert is_minimal(basis_minimal_set(20)) == (True, [])
     assert widths == [19] + [18] * 19 and verdicts == ["rank"] * 20
