@@ -25,9 +25,11 @@ from typing import Iterator
 # Its exact confirm grows with the candidates a set's kernel gives: two
 # random members at n = 28 (7.1 M candidates) took 1.7-2.1 s and 501 MiB
 # peak RSS, about half of it in np.unique's argsort.  The rank path
-# decides basis_minimal_set(28), {2..28} without {5} and a random 28-set
-# in about 1 ms at 29.1-29.6 MiB peak RSS in a fresh process, within 1 MiB
-# of the process before the call.  is_minimal of basis_minimal_set(28) or
+# decides basis_minimal_set(28) and {2..28} without {5} in about 1 ms at
+# 29.1-29.6 MiB peak RSS in a fresh process, within 1 MiB of the process
+# before the call.  A random 28-set takes 0.44-0.69 ms by the rank path
+# (0.2-0.3 MiB), or 0.02-0.05 ms and no memory when its parity matrix has
+# rank 28, as erdos_renyi_set(28)'s has.  is_minimal of basis_minimal_set(28) or
 # reduced_erdos_renyi_set(28) takes one elimination of the same kind, in
 # 1.1-2.1 ms at 1.0 MiB above the process before the call.  is_minimal of
 # a set that the rule prices out of that elimination runs one verdict of

@@ -26,6 +26,16 @@ confirmed candidate, and the confirm rejects the kernel vectors of F_p
 alone.  The paper's sets of n - 1 members have d = 1: their kernel is the
 line through (3 - n, 1, ..., 1), which holds no sign vector from n = 5 on.
 
+_witness tries one check before either path: a set whose parity matrix has
+rank n resolves at once (_parity_full_rank).  Halving b_j - b_0 =
+2 (s_0 - s_j) makes B row-equivalent over Q to the integer matrix
+[b_0; s_0 - s_1; ...; s_0 - s_(k-1)], which reduces mod 2 to the 0/1 parity
+matrix T = [1^n; s_0 ^ s_1; ...; s_0 ^ s_(k-1)].  So an odd n x n minor of
+T is a nonzero minor of B: rank n over F_2 gives B rank n over Q, its only
+kernel vector is 0, and S resolves.  Erdos and Renyi's n-set passes at
+every n, since its rows of T are 1^n and the unit vectors e_1, ..., e_(n-1).
+The check only ever answers "resolves"; every other set takes a path.
+
 The rank path runs when it costs fewer keys than meet in the middle
 sorts (_rank_pays): k pivot steps at _PIVOT_KEYS keys each, plus one key
 per residue of its candidates, against 3^h + (3^m + 1)/2 keys for halves
@@ -636,13 +646,52 @@ def _mitm_witness(n: int, members) -> tuple[int, int] | None:
     return None if rank is None else divmod(rank, 1 << n)
 
 
+def _parity_full_rank(n: int, members) -> bool:
+    """Whether the parity matrix T of the members has rank n over F_2, so that they resolve Q^n.
+
+    T's rows are 1^n, b_0 mod 2, and s_0 ^ s_j for j >= 1, as Python ints,
+    so the check holds at any n.  The basis keeps each row under its
+    highest bit; a row is reduced by the basis rows of its highest bits in
+    turn, and joins them if it is left nonzero.  The members are read one
+    at a time, and the walk stops at the row that completes rank n, or at
+    the dependent row beyond the k - n that T's k rows can spare; with
+    fewer than n members it reads none.
+    """
+    spare = len(members) - n
+    if spare < 0:
+        return False
+    basis = {n: (1 << n) - 1}
+    rows = iter(members)
+    first = next(rows)
+    for s in rows:
+        row = first ^ s
+        while row:
+            top = row.bit_length()
+            pivot = basis.get(top)
+            if pivot is None:
+                break
+            row ^= pivot
+        if row:
+            basis[top] = row
+            if len(basis) == n:
+                return True
+        else:
+            spare -= 1
+            if spare < 0:
+                return False
+    return len(basis) == n
+
+
 def _witness(n: int, members) -> tuple[int, int] | None:
     """The smallest colliding pair (u, v), u < v, or None when the members resolve Q^n.
 
-    The rank path decides sets whose _echelon makes it cost fewer keys
-    than MITM's (_rank_pays); d >= max(n - k, 0) decides that before the
-    elimination, the rank after it.
+    A set of full parity rank resolves without numpy (_parity_full_rank).
+    Otherwise the rank path decides sets whose _echelon makes it cost fewer
+    keys than MITM's (_rank_pays); d >= max(n - k, 0) decides that before
+    the elimination, the rank after it.
     """
+    if _parity_full_rank(n, members):
+        return None
     k = len(members)
     if _rank_pays(n, k, max(n - k, 0)):
         residues = _residues(n, members)
@@ -662,11 +711,12 @@ def is_resolving(S: Landmarks, *, threads: int = 1) -> VerificationReport:
     """Decide whether S resolves Q^n, and find the smallest colliding pair when it does not.
 
     The verdict and the witness come from the sign vectors of the module
-    docstring, not from the 2^n distance vectors: one verdict, by the rank
-    path for a set that it prices below meet in the middle, by meet in the
-    middle otherwise.  ``vertices_checked`` is 2^n by definition, the
-    vertices the verdict covers.  ``threads`` is ignored; it stays because
-    the benchmark's workloads still pass it.
+    docstring, not from the 2^n distance vectors, in this order: a set
+    whose parity matrix has rank n resolves at once; otherwise one
+    verdict, by the rank path for a set that it prices below meet in the
+    middle, by meet in the middle for the rest.  ``vertices_checked`` is
+    2^n by definition, the vertices the verdict covers.  ``threads`` is
+    ignored; it stays because the benchmark's workloads still pass it.
     """
     _check(S)
     t0 = time.perf_counter()

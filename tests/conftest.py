@@ -13,15 +13,23 @@ settings.load_profile("default")
 
 @pytest.fixture
 def verdicts(monkeypatch):
-    """One entry per verdict mdim.resolve runs during the test: "rank" for the rank path on a set alone, "mitm" for a
-    set of sorted keys, "rank-members" for the rank path's one pass over a set and all of its members."""
-    rank, keys = mdim.resolve._rank_kernel, mdim.resolve._verdict_keys
+    """One entry per verdict mdim.resolve runs during the test: "parity" for a set settled by its parity matrix,
+    "rank" for the rank path on a set alone, "mitm" for a set of sorted keys, "rank-members" for the rank path's one
+    pass over a set and all of its members."""
+    parity, rank, keys = mdim.resolve._parity_full_rank, mdim.resolve._rank_kernel, mdim.resolve._verdict_keys
     seen = []
+
+    def parity_spy(n, members):
+        settled = parity(n, members)
+        if settled:
+            seen.append("parity")
+        return settled
 
     def spy(residues, rows, pivots, transform=None):
         seen.append("rank" if transform is None else "rank-members")
         return rank(residues, rows, pivots, transform)
 
+    monkeypatch.setattr(mdim.resolve, "_parity_full_rank", parity_spy)
     monkeypatch.setattr(mdim.resolve, "_rank_kernel", spy)
     monkeypatch.setattr(mdim.resolve, "_verdict_keys", lambda *args: seen.append("mitm") or keys(*args))
     return seen

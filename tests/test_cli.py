@@ -509,7 +509,7 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     lines = [line for line in block.splitlines() if line.startswith("mdim ")]
-    assert len(lines) == 9
+    assert len(lines) == 10
     (tmp_path / "path.txt").write_text("p 3\n0 1\n1 2\n")
     monkeypatch.chdir(tmp_path)
     for line in lines:

@@ -11,7 +11,7 @@ import pytest
 
 import mdim.resolve
 from helpers import naive_is_resolving, permute_vertex, random_landmarks, random_resolving_landmarks
-from mdim.construct import basis_minimal_set, erdos_renyi_set, reduced_erdos_renyi_set
+from mdim.construct import basis_minimal_set, erdos_renyi_set, level_set_landmarks, reduced_erdos_renyi_set
 from mdim.core import DIMENSION_CAP, Landmarks, all_ones, hamming_distance, singleton, translate_set
 from mdim.graphs import build_hypercube, is_resolving_general
 from mdim.resolve import (
@@ -322,6 +322,94 @@ def test_paper_kernel_lines():
         S = Landmarks(4, members)
         assert rank_path(mdim.resolve._residues(4, members)) == witness
         assert is_resolving(S).witness == witness == naive_is_resolving(4, members)[1]
+
+
+def test_parity_certificate_matches_bruteforce_and_the_bfs_oracle():
+    # seeded sets of n to 2n + 2 members: every verdict, the certificate's among them, agrees
+    # with brute force and with the BFS oracle, and the certificate never settles a failing set
+    rng = Random(3535)
+    cubes = {n: build_hypercube(n) for n in range(2, 9)}
+    settled = failing = 0
+    for _ in range(4000):
+        n = rng.randint(2, 8)
+        S = random_landmarks(rng, n, rng.randint(n, min(1 << n, 2 * n + 2)))
+        expected = naive_is_resolving(n, S.members)
+        oracle = is_resolving_general(cubes[n], list(S.members))
+        got = is_resolving(S)
+        assert (got.resolving, got.witness) == expected == (oracle.resolving, oracle.witness), S
+        certified = mdim.resolve._parity_full_rank(n, S.members)
+        assert expected[0] or not certified, S
+        settled += certified
+        failing += not expected[0]
+    assert settled >= 3000 and failing >= 200, (settled, failing)  # 3,501 and 389
+
+
+def test_parity_certificate_agrees_with_meet_in_the_middle():
+    # every set the certificate settles at n <= 14 also resolves by the unchanged meet in the
+    # middle, and the middle levels of criterion 9, which fail, are never settled
+    rng = Random(3636)
+    settled = 0
+    for _ in range(200):
+        n = rng.randint(9, 14)
+        S = random_landmarks(rng, n, rng.randint(n, 2 * n + 2))
+        if mdim.resolve._parity_full_rank(n, S.members):
+            assert mdim.resolve._mitm_witness(n, S.members) is None, S
+            settled += 1
+    assert settled >= 150, settled  # 173
+    for n in (6, 8, 10):
+        S = level_set_landmarks(n, n // 2)
+        assert not mdim.resolve._parity_full_rank(n, S.members), n
+        assert is_resolving(S).witness == (0, (1 << n) - 1), n
+
+
+def test_parity_certificate_settles_the_erdos_renyi_family_without_numpy(monkeypatch, verdicts):
+    # the n-set's parity rows are 1^n and the unit vectors e_1, ..., e_(n-1); the paper's two
+    # sets of n - 1 members cannot reach rank n and are decided by the rank path as before
+    def refuse(*args):
+        raise AssertionError("numpy array built")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(mdim.resolve, "_residues", refuse)
+        patch.setattr(mdim.resolve, "_signs", refuse)
+        for n in range(2, DIMENSION_CAP + 1):
+            verdicts.clear()
+            assert is_resolving(erdos_renyi_set(n)).resolving, n
+            assert verdicts == ["parity"], n
+    for n in (20, DIMENSION_CAP):
+        for S in (basis_minimal_set(n), reduced_erdos_renyi_set(n)):
+            verdicts.clear()
+            assert is_resolving(S).resolving, S
+            assert verdicts == ["rank"], S
+
+
+class CountedMembers(tuple):
+    """Members that count how many of them an iteration has read."""
+
+    read = 0
+
+    def __iter__(self):
+        for s in super().__iter__():
+            self.read += 1
+            yield s
+
+
+def test_parity_walk_reads_members_until_it_is_decided():
+    # it stops at the row that completes rank n: the Erdos-Renyi set's last member, or the
+    # 1,025th vertex of Q^12 in numeric order, whose parity rows with 1^n then span F_2^12
+    n = 12
+    members = CountedMembers(erdos_renyi_set(n).members + (5, 6, 7))
+    assert mdim.resolve._parity_full_rank(n, members) and members.read == n
+    members = CountedMembers(range(1 << n))
+    assert mdim.resolve._parity_full_rank(n, members) and members.read == 1025
+    # n members afford no dependent row: 3 ^ 0 is the sum of the rows of 1 and 2
+    members = CountedMembers((0, 1, 2, 3) + tuple(1 << i for i in range(3, n - 1)))
+    assert not mdim.resolve._parity_full_rank(n, members) and members.read == 4
+    # n + 1 members spare it, and the last member, 4, completes rank n
+    members = CountedMembers(members + (4,))
+    assert mdim.resolve._parity_full_rank(n, members) and members.read == n + 1
+    # fewer than n members cannot reach rank n and are not read
+    members = CountedMembers(erdos_renyi_set(n).members[1:])
+    assert not mdim.resolve._parity_full_rank(n, members) and members.read == 0
 
 
 def test_free_sign_vectors_cover_every_sign_vector_once_up_to_sign():
@@ -905,16 +993,18 @@ def test_is_minimal_on_sets_of_many_key_pairs(minimality_route, n, members, remo
 
 
 def test_minimality_routes_are_pinned(monkeypatch, verdicts):
-    # the paper set at n = 8 and a set of n + 4 members take is_minimal's one pass, and 24
-    # members at n = 20 take is_resolving's rank path alone
+    # the paper set at n = 8 and a set of n + 4 members take is_minimal's one pass; 24 members
+    # at n = 20 are settled by their parity matrix, and 24 whose parity matrix falls short of
+    # rank 20 take is_resolving's rank path alone
     for S in (basis_minimal_set(8), random_landmarks(Random(12), 12, 16)):
         verdicts.clear()
         expected = naive_removable(S.n, S.members)
         assert is_minimal(S) == (not expected, expected), S
         assert verdicts == ["rank-members"], S
-    verdicts.clear()
-    assert is_resolving(random_landmarks(Random(20), 20, 24)).resolving
-    assert verdicts == ["rank"]
+    for seed, route in ((20, "parity"), (9, "rank")):
+        verdicts.clear()
+        assert is_resolving(random_landmarks(Random(seed), 20, 24)).resolving
+        assert verdicts == [route], seed
     # no resolving set sampled is priced out of the pass; forced out, a set takes the verdict
     # of S and then one of each S - j
     monkeypatch.setattr(mdim.resolve, "_members_pay", lambda n, k, d: False)
